@@ -57,7 +57,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -284,36 +283,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 // merged bytes match what a worker fleet over the same shard files
 // converges on.
 func mergeFiles(ctx context.Context, paths []string, dopts trace.DecodeOptions, popts stream.PipelineOptions) (*stream.Result, error) {
-	first, err := os.Open(paths[0])
-	if err != nil {
-		return nil, err
-	}
-	kind, _, err := trace.SniffHeader(bufio.NewReader(first))
-	first.Close()
-	if err != nil {
-		return nil, err
-	}
-	sketchKind := stream.ConnSketch
-	if kind == trace.KindPacket {
-		sketchKind = stream.PacketSketch
-	}
-
 	res := &stream.Result{Shards: len(paths)}
 	sketches := make([]*stream.Sketch, len(paths))
 	for i, path := range paths {
-		sopts := popts
-		sopts.Shards = 1
-		sopts.ShardOffset = i
-		sess, err := stream.NewSession(sketchKind, sopts)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		hdr, dstats, err := sess.IngestReader(ctx, f, dopts)
-		f.Close()
+		hdr, dstats, sk, err := ingestShard(ctx, path, i, dopts, popts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -325,14 +298,38 @@ func mergeFiles(ctx context.Context, paths []string, dopts trace.DecodeOptions, 
 		res.Stats.LinesRead += dstats.LinesRead
 		res.Stats.BytesRead += dstats.BytesRead
 		res.Stats.Errors = append(res.Stats.Errors, dstats.Errors...)
-		if sketches[i], err = sess.Merged(ctx); err != nil {
-			return nil, err
-		}
+		sketches[i] = sk
 	}
+	var err error
 	if res.Sketch, err = stream.MergeSketches(sketches); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// ingestShard folds one shard file through a single-shard session at
+// global shard index i, taking the sketch kind from the file's header.
+func ingestShard(ctx context.Context, path string, i int, dopts trace.DecodeOptions, popts stream.PipelineOptions) (trace.Header, trace.DecodeStats, *stream.Sketch, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return trace.Header{}, trace.DecodeStats{}, nil, err
+	}
+	defer f.Close()
+	src, err := stream.NewSource(f, dopts)
+	if err != nil {
+		return trace.Header{}, trace.DecodeStats{}, nil, err
+	}
+	popts.Shards, popts.ShardOffset = 1, i
+	sess, err := stream.NewSession(src.SketchKind(), popts)
+	if err != nil {
+		return trace.Header{}, trace.DecodeStats{}, nil, err
+	}
+	hdr, dstats, err := sess.IngestSource(ctx, src)
+	if err != nil {
+		return hdr, dstats, nil, err
+	}
+	sk, err := sess.Merged(ctx)
+	return hdr, dstats, sk, err
 }
 
 // workerFlags bundles the parsed -coord mode options.

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -28,7 +27,7 @@ import (
 // worker restores the checkpoint, re-uploads it under a bumped epoch
 // (accepted if the original POST was lost, duplicate if it landed),
 // skips the records the checkpoint already folded in, and continues.
-// Record skipping replays the scan without observing, which also
+// Record skipping replays the source without observing, which also
 // rebuilds the interarrival-gap state (previous record time) exactly.
 
 // WorkerOptions configures one distributed ingest worker.
@@ -97,11 +96,9 @@ type worker struct {
 	resumed bool
 
 	sinceUpload int64
-	prev        float64
-	first       bool
 
 	high     float64 // event-time high water across folded batches
-	pipeline string  // trace framing's pipeline ID, once discovered
+	pipeline string  // the trace header's pipeline ID, sent with uploads
 	ingWM    *obs.Watermark
 }
 
@@ -117,28 +114,26 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerReport, error) {
 	if opts.ChunkSize < 1 {
 		opts.ChunkSize = stream.DefaultChunkSize
 	}
-	w := &worker{opts: opts, epoch: 1, first: true, ingWM: opts.Marks.Stage(obs.StageIngest)}
+	w := &worker{opts: opts, epoch: 1, ingWM: opts.Marks.Stage(obs.StageIngest)}
 
 	f, err := os.Open(opts.TracePath)
 	if err != nil {
 		return WorkerReport{}, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	kind, binary, err := trace.SniffHeader(br)
+	src, err := stream.NewSource(f, opts.Decode)
 	if err != nil {
 		return WorkerReport{}, err
 	}
-	traceKind := stream.ConnSketch
-	if kind == trace.KindPacket {
-		traceKind = stream.PacketSketch
-	}
+	traceKind := src.SketchKind()
 
 	if opts.Resume && opts.Checkpoint != "" {
 		if err := w.restore(traceKind); err != nil {
 			return WorkerReport{}, err
 		}
 	}
+	w.pipeline = src.Header().PipelineID
+	opts.Marks.SetPipeline(w.pipeline)
 	if w.sketch == nil {
 		sk, err := stream.NewSketch(traceKind, opts.Shard, opts.Config)
 		if err != nil {
@@ -155,22 +150,22 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerReport, error) {
 		}
 	}
 
-	switch kind {
-	case trace.KindConn:
-		sc := trace.NewConnScanner(br, opts.Decode)
-		if binary {
-			sc = trace.NewConnBinaryScanner(br, opts.Decode)
+	// The batch size matches the reference pipeline's chunking, so the
+	// sketch is byte-identical to a single-shard session over this file.
+	batch := make([]stream.Obs, opts.ChunkSize)
+	for {
+		n, err := src.Next(batch)
+		if n > 0 {
+			if serr := w.step(ctx, batch[:n]); serr != nil {
+				return w.report(), serr
+			}
 		}
-		err = w.scanConns(ctx, sc)
-	default:
-		sc := trace.NewPacketScanner(br, opts.Decode)
-		if binary {
-			sc = trace.NewPacketBinaryScanner(br, opts.Decode)
+		if err == io.EOF {
+			break
 		}
-		err = w.scanPackets(ctx, sc)
-	}
-	if err != nil {
-		return w.report(), err
+		if err != nil {
+			return w.report(), err
+		}
 	}
 	if err := w.publish(ctx, true); err != nil {
 		return w.report(), err
@@ -219,7 +214,7 @@ func (w *worker) restore(traceKind string) error {
 	w.seq = 0
 	w.skip = u.Records
 	w.resumed = true
-	w.high, w.pipeline = u.WatermarkS, u.Pipeline
+	w.high = u.WatermarkS
 	w.opts.Metrics.Counter("coord.worker.resumes").Inc()
 	if w.opts.Logger != nil {
 		w.opts.Logger.Info("checkpoint restored", "path", w.opts.Checkpoint,
@@ -313,82 +308,6 @@ func (w *worker) step(ctx context.Context, batch []stream.Obs) error {
 		return w.publish(ctx, false)
 	}
 	return nil
-}
-
-// scanConns mirrors stream.Session.IngestConns — same batch size,
-// same observation derivation, same gap semantics — so the worker's
-// sketch is byte-identical to a single-shard session over this file.
-func (w *worker) scanConns(ctx context.Context, sc *trace.ConnScanner) error {
-	recs := make([]trace.Conn, w.opts.ChunkSize)
-	batch := make([]stream.Obs, 0, w.opts.ChunkSize)
-	for {
-		n, err := sc.ScanBatch(recs)
-		if n > 0 {
-			if w.pipeline == "" {
-				w.adoptPipeline(sc.Header().PipelineID)
-			}
-			batch = batch[:0]
-			for _, c := range recs[:n] {
-				o := stream.Obs{Time: c.Start, Value: float64(c.Bytes()), Duration: c.Duration}
-				if !w.first {
-					o.Gap, o.HasGap = c.Start-w.prev, true
-				}
-				w.prev, w.first = c.Start, false
-				batch = append(batch, o)
-			}
-			if serr := w.step(ctx, batch); serr != nil {
-				return serr
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// scanPackets mirrors stream.Session.IngestPackets.
-func (w *worker) scanPackets(ctx context.Context, sc *trace.PacketScanner) error {
-	recs := make([]trace.Packet, w.opts.ChunkSize)
-	batch := make([]stream.Obs, 0, w.opts.ChunkSize)
-	for {
-		n, err := sc.ScanBatch(recs)
-		if n > 0 {
-			if w.pipeline == "" {
-				w.adoptPipeline(sc.Header().PipelineID)
-			}
-			batch = batch[:0]
-			for _, p := range recs[:n] {
-				o := stream.Obs{Time: p.Time, Value: float64(p.Size)}
-				if !w.first {
-					o.Gap, o.HasGap = p.Time-w.prev, true
-				}
-				w.prev, w.first = p.Time, false
-				batch = append(batch, o)
-			}
-			if serr := w.step(ctx, batch); serr != nil {
-				return serr
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// adoptPipeline records the trace framing's pipeline ID the first
-// time the scanner surfaces one.
-func (w *worker) adoptPipeline(id string) {
-	if id == "" {
-		return
-	}
-	w.pipeline = id
-	w.opts.Marks.SetPipeline(id)
 }
 
 // writeCheckpoint persists an upload atomically (temp + rename).

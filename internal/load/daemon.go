@@ -351,7 +351,7 @@ func (d *Daemon) Run(ctx context.Context, w io.Writer) (Report, error) {
 		return pktEnc.Flush()
 	}
 
-	pace := d.newPacer(ctx, now)
+	pace := trace.NewPacer(ctx, d.opts.Dilate, d.opts.Sleep, now)
 	nextPhase := 0
 	lastT := 0.0
 	var runErr error
@@ -441,45 +441,6 @@ loop:
 			"reshapes", rep.Reshapes)
 	}
 	return rep, runErr
-}
-
-// newPacer returns the per-record delay function, anchored at the
-// first paced record — the observe.Replay contract. Real sleeps are
-// context-interruptible; the following ctx check surfaces the
-// cancellation.
-func (d *Daemon) newPacer(ctx context.Context, now func() time.Time) func(t float64) error {
-	if !(d.opts.Dilate > 0) {
-		return func(float64) error { return nil }
-	}
-	sleep := d.opts.Sleep
-	if sleep == nil {
-		sleep = func(dur time.Duration) {
-			tm := time.NewTimer(dur)
-			defer tm.Stop()
-			select {
-			case <-tm.C:
-			case <-ctx.Done():
-			}
-		}
-	}
-	var epoch time.Time
-	var t0 float64
-	started := false
-	return func(t float64) error {
-		if !started {
-			epoch, t0, started = now(), t, true
-			return nil
-		}
-		elapsed := (t - t0) / d.opts.Dilate
-		if elapsed <= 0 {
-			return nil
-		}
-		target := epoch.Add(time.Duration(elapsed * float64(time.Second)))
-		if dur := target.Sub(now()); dur > 0 {
-			sleep(dur)
-		}
-		return ctx.Err()
-	}
 }
 
 // --- reshaping ---

@@ -1,18 +1,16 @@
 package observe
 
 import (
-	"bufio"
-	"fmt"
+	"context"
 	"io"
 	"time"
 
+	"wantraffic/internal/stream"
 	"wantraffic/internal/trace"
 )
 
-// Replay feeds a recorded trace (text or binary, connection or
-// packet) into an Observatory at a controlled rate — the live source
-// the observatory runs against until the wanload synthesis daemon
-// exists (ROADMAP item 2).
+// Replay feeds a recorded or live trace (text or binary, connection
+// or packet) into an Observatory at a controlled rate.
 //
 // Pacing is pure presentation: it delays *when* a record is folded,
 // never *what* is folded, so the emitted event sequence is identical
@@ -48,95 +46,39 @@ type ReplayStats struct {
 // Replay streams the trace in r into o. It returns the decode error
 // (nil at clean EOF) alongside the stats; records decoded before a
 // mid-stream failure are already folded.
+//
+// Records are read one at a time and each is folded as soon as it
+// decodes: a window's closing record must never wait for later
+// records to arrive, or a verdict would lag the live stream it is
+// about by however long a batch takes to fill.
 func Replay(r io.Reader, o *Observatory, opts ReplayOptions) (ReplayStats, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	kind, binary, err := trace.SniffHeader(br)
+	src, err := stream.NewSource(r, opts.Decode)
 	if err != nil {
 		return ReplayStats{}, err
 	}
-	st := ReplayStats{Kind: kind}
-	pace := newPacer(opts)
 	// The trace framing may carry a pipeline ID (wanload -pipeline-id);
-	// adopt it on the first record so the observatory's watermark set
-	// reports end-to-end freshness under the producer's identity. The
-	// scanner surfaces the ID once the framing preamble is consumed,
-	// which is guaranteed by the time the first record scans.
-	adopted := false
-	adopt := func(id string) {
-		if !adopted && id != "" {
-			o.opt.Marks.SetPipeline(id)
-		}
-		adopted = true
-	}
-	switch kind {
-	case trace.KindConn:
-		var sc *trace.ConnScanner
-		if binary {
-			sc = trace.NewConnBinaryScanner(br, opts.Decode)
-		} else {
-			sc = trace.NewConnScanner(br, opts.Decode)
-		}
-		for sc.Scan() {
-			c := sc.Conn()
-			adopt(sc.Header().PipelineID)
-			pace(c.Start)
-			o.ObserveConn(c)
+	// adopting it lets the observatory's watermark set report
+	// end-to-end freshness under the producer's identity.
+	o.opt.Marks.SetPipeline(src.Header().PipelineID)
+	st := ReplayStats{Kind: src.Header().Kind}
+	pace := trace.NewPacer(context.Background(), opts.Dilate, opts.Sleep, opts.Now)
+	var rec [1]stream.Obs
+	for {
+		n, err := src.Next(rec[:])
+		if n > 0 {
+			pace(rec[0].Time)
+			o.observe(rec[0].Time, rec[0].Value, rec[0].Proto)
 			st.Records++
 		}
-		st.Decode, err = sc.Stats(), sc.Err()
-	case trace.KindPacket:
-		var sc *trace.PacketScanner
-		if binary {
-			sc = trace.NewPacketBinaryScanner(br, opts.Decode)
-		} else {
-			sc = trace.NewPacketScanner(br, opts.Decode)
-		}
-		for sc.Scan() {
-			p := sc.Packet()
-			adopt(sc.Header().PipelineID)
-			pace(p.Time)
-			o.ObservePacket(p)
-			st.Records++
-		}
-		st.Decode, err = sc.Stats(), sc.Err()
-	default:
-		return st, fmt.Errorf("observe: cannot replay trace kind %v", kind)
-	}
-	if err == nil && opts.Flush {
-		o.Flush()
-	}
-	return st, err
-}
-
-// newPacer returns the per-record delay function: it sleeps until the
-// record's dilated event time has elapsed on the wall clock, anchored
-// at the first record.
-func newPacer(opts ReplayOptions) func(t float64) {
-	if !(opts.Dilate > 0) {
-		return func(float64) {}
-	}
-	sleep, now := opts.Sleep, opts.Now
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	if now == nil {
-		now = time.Now
-	}
-	var epoch time.Time
-	var t0 float64
-	started := false
-	return func(t float64) {
-		if !started {
-			epoch, t0, started = now(), t, true
-			return
-		}
-		elapsed := (t - t0) / opts.Dilate
-		if elapsed <= 0 {
-			return
-		}
-		target := epoch.Add(time.Duration(elapsed * float64(time.Second)))
-		if d := target.Sub(now()); d > 0 {
-			sleep(d)
+		if err != nil {
+			st.Decode = src.Stats()
+			if err != io.EOF {
+				return st, err
+			}
+			if opts.Flush {
+				o.Flush()
+			}
+			return st, nil
 		}
 	}
 }

@@ -2,6 +2,8 @@ package observe
 
 import (
 	"bytes"
+	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,5 +197,73 @@ func TestReplayAdoptsPipelineID(t *testing.T) {
 	}
 	if got := marks.Pipeline(); got != "" {
 		t.Fatalf("unframed trace adopted pipeline %q", got)
+	}
+}
+
+// TestReplayFoldsBeforeNextRecord pins Replay's latency property: a
+// record is folded as soon as it decodes, so the verdict for window k
+// fires while the first record of window k+1 is the last one read.
+// The trace arrives through an io.Pipe one record per Write, and each
+// Write returns only once Replay has read that record; a replayer that
+// waited to fill a batch before folding would let the writer deliver
+// records past the window's closing one before the verdict fired.
+func TestReplayFoldsBeforeNextRecord(t *testing.T) {
+	pkts := make([]trace.Packet, 0, 300)
+	for i := 0; i < 300; i++ {
+		pkts = append(pkts, trace.Packet{Time: 0.2 * float64(i), Size: 40 + i%7, Proto: trace.Telnet, ConnID: int64(i)})
+	}
+	var buf bytes.Buffer
+	if err := trace.WritePacketTrace(&buf, &trace.PacketTrace{Name: "latency", Horizon: 60, Packets: pkts}); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+
+	pr, pw := io.Pipe()
+	var delivered atomic.Int64 // records whose Write has returned
+	go func() {
+		defer pw.Close()
+		if _, err := pw.Write(lines[0]); err != nil { // header
+			return
+		}
+		for _, ln := range lines[1:] {
+			if len(ln) == 0 {
+				continue
+			}
+			if _, err := pw.Write(ln); err != nil {
+				return
+			}
+			delivered.Add(1)
+		}
+	}()
+
+	type fire struct{ window, folded, delivered int64 }
+	var fires []fire
+	var o *Observatory
+	opt := testOptions(new([]Event))
+	opt.OnEvent = func(ev Event) {
+		if ev.Kind == obs.EventVerdict {
+			// Records() counts the records folded before the one whose
+			// arrival closed the window.
+			fires = append(fires, fire{ev.Window, o.Records(), delivered.Load()})
+		}
+	}
+	o = New(opt)
+	st, err := Replay(pr, o, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != int64(len(pkts)) {
+		t.Fatalf("replayed %d records, want %d", st.Records, len(pkts))
+	}
+	if len(fires) < 10 {
+		t.Fatalf("only %d verdicts fired", len(fires))
+	}
+	for _, f := range fires {
+		// The closing record is record index f.folded; at most it and
+		// the records before it may have been delivered.
+		if f.delivered > f.folded+1 {
+			t.Fatalf("verdict for window %d fired after %d records were delivered; its closing record was #%d",
+				f.window, f.delivered, f.folded+1)
+		}
 	}
 }

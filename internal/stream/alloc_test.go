@@ -175,3 +175,34 @@ func scanReady(t *testing.T, data []byte, binary bool) *trace.ConnScanner {
 	}
 	return trace.NewConnScanner(br, trace.DecodeOptions{})
 }
+
+// TestAllocSourceNext: once its record buffer exists, a Source decodes
+// and derives observations without allocating, in either encoding.
+func TestAllocSourceNext(t *testing.T) {
+	tr := testConnTrace(16384)
+	var bin bytes.Buffer
+	if err := trace.WriteConnTraceBinary(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"binary", bin.Bytes()}, {"text", encodeConn(t, tr)}} {
+		src, err := NewSource(bytes.NewReader(tc.data), trace.DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]Obs, 512)
+		if _, err := src.Next(out); err != nil { // warm: record buffer, field buffers
+			t.Fatal(err)
+		}
+		got := allocsPerRun(t, 20, func() {
+			if n, err := src.Next(out); n != len(out) || err != nil {
+				t.Fatalf("%s: Next = %d, %v", tc.name, n, err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: warm Source.Next allocates %.1f per 512-record read, budget 0", tc.name, got)
+		}
+	}
+}

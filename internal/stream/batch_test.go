@@ -216,8 +216,8 @@ func TestPipelineBatchedMatchesRecordAtATime(t *testing.T) {
 	}
 }
 
-// TestPipelinePoisonedPools: pre-seeding the record and batch pools
-// with garbage-filled buffers must not perturb results — every pooled
+// TestPipelinePoisonedPools: pre-seeding the batch pool with
+// garbage-filled buffers must not perturb results — every pooled
 // buffer is fully overwritten before being read, so stale data can
 // never leak into a sketch.
 func TestPipelinePoisonedPools(t *testing.T) {
@@ -232,14 +232,9 @@ func TestPipelinePoisonedPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		conns := make([]trace.Conn, 64)
-		for j := range conns {
-			conns[j] = trace.Conn{Start: -1e300, Duration: 1e300, BytesOrig: -1, BytesResp: 1 << 60}
-		}
-		connBufPool.Put(&conns)
 		poisoned := make([]Obs, 64)
 		for j := range poisoned {
-			poisoned[j] = Obs{Time: -9e99, Value: 9e99, Gap: -1, HasGap: true}
+			poisoned[j] = Obs{Time: -9e99, Value: 9e99, Duration: 1e300, Gap: -1, HasGap: true, Proto: trace.WWW}
 		}
 		obsBatchPool.Put(&obsBatch{obs: poisoned})
 	}

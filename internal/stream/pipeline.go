@@ -90,20 +90,13 @@ type obsBatch struct {
 	obs []Obs
 }
 
-// The hot-path pools. Record buffers are filled by ScanBatch and read
-// back by the same (reader) goroutine; obs batches cross goroutines
-// from reader to shard worker and return via Put when drained. Both
-// are written before being read on every cycle — only buf[:n] of a
-// ScanBatch result and batch.obs[:len] of a filled batch are ever
-// consumed — so recycled (or even poisoned) buffer contents can never
-// leak into results.
-var (
-	obsBatchPool = sync.Pool{New: func() any { return new(obsBatch) }}
-	connBufPool  = sync.Pool{New: func() any { return new([]trace.Conn) }}
-	pktBufPool   = sync.Pool{New: func() any { return new([]trace.Packet) }}
-)
+// obsBatchPool recycles fan-out batches: the reader goroutine fills
+// one with Source.Next, a shard worker folds it and puts it back. Only
+// batch.obs[:n] of a filled batch is ever read, so recycled (or even
+// poisoned) contents can never leak into results.
+var obsBatchPool = sync.Pool{New: func() any { return new(obsBatch) }}
 
-// Session is a persistent sharded sketch set: each Ingest* call
+// Session is a persistent sharded sketch set: each ingest call
 // streams one trace (or trace fragment) through the fan-out and folds
 // it into the same per-shard sketches, so a long-running consumer (a
 // daemon draining trace segments, the steady-state benchmarks)
@@ -157,130 +150,37 @@ func (s *Session) IngestReader(ctx context.Context, r io.Reader, dopts trace.Dec
 	} else {
 		s.br.Reset(r)
 	}
-	kind, binary, err := trace.SniffHeader(s.br)
+	src, err := NewSource(s.br, dopts)
 	if err != nil {
 		return trace.Header{}, trace.DecodeStats{}, err
 	}
-	switch {
-	case kind == trace.KindConn && s.kind == ConnSketch:
-		sc := trace.NewConnScanner(s.br, dopts)
-		if binary {
-			sc = trace.NewConnBinaryScanner(s.br, dopts)
-		}
-		return s.IngestConns(ctx, sc)
-	case kind == trace.KindPacket && s.kind == PacketSketch:
-		sc := trace.NewPacketScanner(s.br, dopts)
-		if binary {
-			sc = trace.NewPacketBinaryScanner(s.br, dopts)
-		}
-		return s.IngestPackets(ctx, sc)
+	return s.IngestSource(ctx, src)
+}
+
+// IngestSource streams an opened Source through the session's sharded
+// fan-out; IngestReader is this over a fresh Source. The source's kind
+// must match the session's.
+//
+// One reader goroutine fills pooled batches of ChunkSize observations
+// with Source.Next (interarrival gaps need the previous record, so the
+// derivation cannot itself be sharded) and deals batch i to shard
+// i mod Shards — Next returns short batches only at end of stream, so
+// batch boundaries fall every ChunkSize kept records, exactly where
+// the record-at-a-time path flushed its chunks. Every shard is drained
+// by its own goroutine (par.ForEach with one worker per shard — fewer
+// would deadlock against the bounded channels), each folding batches
+// into its private sketch via ObserveBatch and recycling them: no
+// cross-goroutine float reduction ever happens, per the repo
+// determinism rule, and the batch→shard assignment is position-based,
+// so each shard's observation subsequence — and therefore its sketch —
+// is independent of scheduling.
+func (s *Session) IngestSource(ctx context.Context, src *Source) (trace.Header, trace.DecodeStats, error) {
+	hdr := src.Header()
+	if src.SketchKind() != s.kind {
+		return hdr, src.Stats(), fmt.Errorf("stream: %v trace fed to %s session", hdr.Kind, s.kind)
 	}
-	return trace.Header{}, trace.DecodeStats{},
-		fmt.Errorf("stream: %v trace fed to %s session", kind, s.kind)
-}
-
-// IngestConns streams a connection scanner through the session,
-// deriving per-record observations (total bytes, duration, start-time
-// interarrival gap, arrival time) batch by batch.
-func (s *Session) IngestConns(ctx context.Context, sc *trace.ConnScanner) (trace.Header, trace.DecodeStats, error) {
-	return s.run(ctx, func(emit func(*obsBatch)) (trace.Header, trace.DecodeStats, error) {
-		bufp := connBufPool.Get().(*[]trace.Conn)
-		defer connBufPool.Put(bufp)
-		if cap(*bufp) < s.popts.ChunkSize {
-			*bufp = make([]trace.Conn, s.popts.ChunkSize)
-		}
-		recs := (*bufp)[:s.popts.ChunkSize]
-		var prev float64
-		first := true
-		for {
-			n, err := sc.ScanBatch(recs)
-			if n > 0 {
-				b := getObsBatch(s.popts.ChunkSize)
-				for _, c := range recs[:n] {
-					o := Obs{Time: c.Start, Value: float64(c.Bytes()), Duration: c.Duration}
-					if !first {
-						o.Gap, o.HasGap = c.Start-prev, true
-					}
-					prev, first = c.Start, false
-					b.obs = append(b.obs, o)
-				}
-				emit(b)
-			}
-			if err == io.EOF {
-				return sc.Header(), sc.Stats(), nil
-			}
-			if err != nil {
-				return sc.Header(), sc.Stats(), err
-			}
-		}
-	})
-}
-
-// IngestPackets streams a packet scanner through the session,
-// deriving per-record observations (payload size, interarrival gap,
-// arrival time) batch by batch.
-func (s *Session) IngestPackets(ctx context.Context, sc *trace.PacketScanner) (trace.Header, trace.DecodeStats, error) {
-	return s.run(ctx, func(emit func(*obsBatch)) (trace.Header, trace.DecodeStats, error) {
-		bufp := pktBufPool.Get().(*[]trace.Packet)
-		defer pktBufPool.Put(bufp)
-		if cap(*bufp) < s.popts.ChunkSize {
-			*bufp = make([]trace.Packet, s.popts.ChunkSize)
-		}
-		recs := (*bufp)[:s.popts.ChunkSize]
-		var prev float64
-		first := true
-		for {
-			n, err := sc.ScanBatch(recs)
-			if n > 0 {
-				b := getObsBatch(s.popts.ChunkSize)
-				for _, p := range recs[:n] {
-					o := Obs{Time: p.Time, Value: float64(p.Size)}
-					if !first {
-						o.Gap, o.HasGap = p.Time-prev, true
-					}
-					prev, first = p.Time, false
-					b.obs = append(b.obs, o)
-				}
-				emit(b)
-			}
-			if err == io.EOF {
-				return sc.Header(), sc.Stats(), nil
-			}
-			if err != nil {
-				return sc.Header(), sc.Stats(), err
-			}
-		}
-	})
-}
-
-// getObsBatch draws an empty batch with at least the given capacity
-// from the pool.
-func getObsBatch(capacity int) *obsBatch {
-	b := obsBatchPool.Get().(*obsBatch)
-	if cap(b.obs) < capacity {
-		b.obs = make([]Obs, 0, capacity)
-	} else {
-		b.obs = b.obs[:0]
-	}
-	return b
-}
-
-// run is the shared fan-out engine. One reader goroutine decodes
-// records in ChunkSize batches (interarrival gaps need the previous
-// record, so the derivation cannot itself be sharded) and deals batch
-// i to shard i mod Shards — ScanBatch returns short batches only at
-// end of stream, so batch boundaries fall every ChunkSize kept
-// records, exactly where the record-at-a-time path flushed its
-// chunks. Every shard is drained by its own goroutine (par.ForEach
-// with one worker per shard — fewer would deadlock against the
-// bounded channels), each folding batches into its private sketch
-// via ObserveBatch and recycling them: no cross-goroutine float
-// reduction ever happens, per the repo determinism rule, and the
-// batch→shard assignment is position-based, so each shard's
-// observation subsequence — and therefore its sketch — is independent
-// of scheduling.
-func (s *Session) run(ctx context.Context, read func(emit func(*obsBatch)) (trace.Header, trace.DecodeStats, error)) (trace.Header, trace.DecodeStats, error) {
 	popts := s.popts
+	popts.Marks.SetPipeline(hdr.PipelineID)
 	ctx, span := obs.StartSpan(ctx, "stream.ingest")
 	defer span.End()
 	span.SetAttr("kind", s.kind)
@@ -302,31 +202,38 @@ func (s *Session) run(ctx context.Context, read func(emit func(*obsBatch)) (trac
 	ingestWM := popts.Marks.Stage(obs.StageIngest)
 	drainWM := popts.Marks.Stage(obs.StageShardDrain)
 
-	var (
-		hdr     trace.Header
-		dstats  trace.DecodeStats
-		readErr error
-	)
+	var readErr error
 	go func() {
 		defer func() {
 			for _, ch := range chans {
 				close(ch)
 			}
 		}()
-		next := 0
-		hdr, dstats, readErr = read(func(b *obsBatch) {
-			n := int64(len(b.obs)) // before send: the worker truncates b on recycle
-			ingestWM.Stamp(b.obs[len(b.obs)-1].Time)
-			chans[next%popts.Shards] <- b
-			next++
-			s.chunks++
-			ingested.Add(n)
-			depth := 0
-			for _, ch := range chans {
-				depth += len(ch)
+		for next := 0; ; {
+			b := obsBatchPool.Get().(*obsBatch)
+			n, err := src.Next(grow(&b.obs, popts.ChunkSize))
+			if n > 0 {
+				b.obs = b.obs[:n]
+				ingestWM.Stamp(b.obs[n-1].Time)
+				chans[next%popts.Shards] <- b
+				next++
+				s.chunks++
+				ingested.Add(int64(n))
+				depth := 0
+				for _, ch := range chans {
+					depth += len(ch)
+				}
+				queueDepth.Set(float64(depth))
+			} else {
+				obsBatchPool.Put(b)
 			}
-			queueDepth.Set(float64(depth))
-		})
+			if err != nil {
+				if err != io.EOF {
+					readErr = err
+				}
+				return
+			}
+		}
 	}()
 
 	par.ForEach(popts.Shards, popts.Shards, func(sh int) {
@@ -344,20 +251,18 @@ func (s *Session) run(ctx context.Context, read func(emit func(*obsBatch)) (trac
 				bytes += o.Value
 			}
 			drainWM.Stamp(b.obs[len(b.obs)-1].Time)
-			b.obs = b.obs[:0]
 			obsBatchPool.Put(b)
 		}
 		sp.SetAttrInt("records", s.shards[sh].Records())
 		if popts.Metrics != nil {
 			// Per-call deltas, so a reused session's counters stay
-			// additive across Ingest* calls.
+			// additive across ingest calls.
 			popts.Metrics.Counter(fmt.Sprintf("stream.shard%d.records", sh)).Add(records)
 			popts.Metrics.Counter(fmt.Sprintf("stream.shard%d.bytes", sh)).Add(int64(bytes))
 		}
 	})
 	queueDepth.Set(0)
-	popts.Marks.SetPipeline(hdr.PipelineID)
-	return hdr, dstats, readErr
+	return hdr, src.Stats(), readErr
 }
 
 // Merged snapshots the canonical cross-shard fold: shards are merged
@@ -381,49 +286,18 @@ func (s *Session) Merged(ctx context.Context) (*Sketch, error) {
 // resource-limit violation) it still returns the merged sketch over
 // every record decoded before the failure, with DecodeStats accounting
 // for the partial read, alongside the error — the chaos-harness
-// contract: faults degrade coverage, never correctness.
+// contract: faults degrade coverage, never correctness. A header that
+// does not parse returns no result.
 func Ingest(ctx context.Context, r io.Reader, dopts trace.DecodeOptions, popts PipelineOptions) (*Result, error) {
-	br := bufio.NewReader(r)
-	kind, binary, err := trace.SniffHeader(br)
+	src, err := NewSource(r, dopts)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case trace.KindConn:
-		sc := trace.NewConnScanner(br, dopts)
-		if binary {
-			sc = trace.NewConnBinaryScanner(br, dopts)
-		}
-		return IngestConns(ctx, sc, popts)
-	case trace.KindPacket:
-		sc := trace.NewPacketScanner(br, dopts)
-		if binary {
-			sc = trace.NewPacketBinaryScanner(br, dopts)
-		}
-		return IngestPackets(ctx, sc, popts)
-	}
-	return nil, fmt.Errorf("stream: unsupported trace kind %v", kind)
-}
-
-// IngestConns streams a connection scanner through a fresh session
-// and merges; see Ingest for the partial-result contract.
-func IngestConns(ctx context.Context, sc *trace.ConnScanner, popts PipelineOptions) (*Result, error) {
-	sess, err := NewSession(ConnSketch, popts)
+	sess, err := NewSession(src.SketchKind(), popts)
 	if err != nil {
 		return nil, err
 	}
-	hdr, dstats, readErr := sess.IngestConns(ctx, sc)
-	return sess.finish(ctx, hdr, dstats, readErr)
-}
-
-// IngestPackets streams a packet scanner through a fresh session and
-// merges; see Ingest for the partial-result contract.
-func IngestPackets(ctx context.Context, sc *trace.PacketScanner, popts PipelineOptions) (*Result, error) {
-	sess, err := NewSession(PacketSketch, popts)
-	if err != nil {
-		return nil, err
-	}
-	hdr, dstats, readErr := sess.IngestPackets(ctx, sc)
+	hdr, dstats, readErr := sess.IngestSource(ctx, src)
 	return sess.finish(ctx, hdr, dstats, readErr)
 }
 

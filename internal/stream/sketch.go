@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"wantraffic/internal/trace"
 )
 
 // Trace kinds a Sketch can summarize.
@@ -169,9 +171,9 @@ func (d *Dim) restore(st dimState) error {
 	return d.Sample.Restore(st.Sample)
 }
 
-// Obs is one derived observation record fed to a Sketch: the raw
-// trace records never reach the accumulators, only the dimensions the
-// paper's analyses consume.
+// Obs is one derived observation record, the per-record facts every
+// estimator starts from. Source derives it from the raw trace records,
+// which never reach the accumulators or the observatory themselves.
 type Obs struct {
 	// Time is the record's arrival time in seconds since trace start.
 	Time float64
@@ -184,6 +186,9 @@ type Obs struct {
 	// false for the first record of a stream.
 	Gap    float64
 	HasGap bool
+	// Proto is the record's protocol. It sits in the padding after
+	// HasGap, so Obs stays 40 bytes.
+	Proto trace.Protocol
 }
 
 // Sketch is the composite streaming summary of one trace: a fixed set

@@ -103,24 +103,13 @@ func ReadConnTraceBinary(r io.Reader) (*ConnTrace, error) {
 // given options. In lenient mode a stream that ends before the
 // header's record count is satisfied yields the records that did
 // decode, with the shortfall accounted in DecodeStats; header errors
-// abort in both modes. It is a materializing loop over
-// NewConnBinaryScanner.
+// abort in both modes. It materializes NewConnBinaryScanner's records.
 func ReadConnTraceBinaryWith(r io.Reader, opts DecodeOptions) (*ConnTrace, DecodeStats, error) {
-	sc := NewConnBinaryScanner(r, opts)
-	hdr := sc.Header()
-	if err := sc.Err(); err != nil {
-		return nil, sc.Stats(), err
+	hdr, conns, stats, err := readAll(&NewConnBinaryScanner(r, opts).scanner)
+	if err != nil {
+		return nil, stats, err
 	}
-	// Preallocation is capped: a corrupt header must not force a huge
-	// allocation before the (short) stream disproves its record count.
-	t := &ConnTrace{Name: hdr.Name, Horizon: hdr.Horizon, Conns: make([]Conn, 0, capAlloc(hdr.Expected))}
-	for sc.Scan() {
-		t.Conns = append(t.Conns, sc.Conn())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, sc.Stats(), err
-	}
-	return t, sc.Stats(), nil
+	return &ConnTrace{Name: hdr.Name, Horizon: hdr.Horizon, Conns: conns}, stats, nil
 }
 
 // connRecordLayout is the fixed-width binary encoding of one Conn.
@@ -134,15 +123,6 @@ var connRecordLayout = binaryRecord[Conn]{size: 41, decode: func(rec []byte) Con
 		SessionID: int64(binary.LittleEndian.Uint64(rec[33:])),
 	}
 }}
-
-// capAlloc bounds an untrusted record count for slice preallocation.
-func capAlloc(count uint64) int {
-	const max = 1 << 16
-	if count > max {
-		return max
-	}
-	return int(count)
-}
 
 // WritePacketTraceBinary encodes a packet trace in the binary format.
 func WritePacketTraceBinary(w io.Writer, t *PacketTrace) error {
@@ -180,19 +160,11 @@ func ReadPacketTraceBinary(r io.Reader) (*PacketTrace, error) {
 // given options; see ReadConnTraceBinaryWith for the lenient
 // contract.
 func ReadPacketTraceBinaryWith(r io.Reader, opts DecodeOptions) (*PacketTrace, DecodeStats, error) {
-	sc := NewPacketBinaryScanner(r, opts)
-	hdr := sc.Header()
-	if err := sc.Err(); err != nil {
-		return nil, sc.Stats(), err
+	hdr, pkts, stats, err := readAll(&NewPacketBinaryScanner(r, opts).scanner)
+	if err != nil {
+		return nil, stats, err
 	}
-	t := &PacketTrace{Name: hdr.Name, Horizon: hdr.Horizon, Packets: make([]Packet, 0, capAlloc(hdr.Expected))}
-	for sc.Scan() {
-		t.Packets = append(t.Packets, sc.Packet())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, sc.Stats(), err
-	}
-	return t, sc.Stats(), nil
+	return &PacketTrace{Name: hdr.Name, Horizon: hdr.Horizon, Packets: pkts}, stats, nil
 }
 
 // packetRecordLayout is the fixed-width binary encoding of one Packet.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -19,19 +18,14 @@ import (
 //
 // Lines beginning with '#' after the header are comments.
 
-// WriteConnTrace encodes a connection trace to w.
+// WriteConnTrace encodes a connection trace to w through a
+// ConnEncoder, the text codec's one formatter.
 func WriteConnTrace(w io.Writer, t *ConnTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "#conntrace %s %g\n", nameField(t.Name), t.Horizon); err != nil {
+	enc, err := NewConnEncoder(w, t.Name, t.Horizon, false)
+	if err != nil {
 		return err
 	}
-	for _, c := range t.Conns {
-		if _, err := fmt.Fprintf(bw, "%g %g %s %d %d %d\n",
-			c.Start, c.Duration, c.Proto, c.BytesOrig, c.BytesResp, c.SessionID); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeAll(enc, t.Conns)
 }
 
 // ReadConnTrace decodes a connection trace from r in strict mode: the
@@ -111,35 +105,25 @@ func matchProtocol(b []byte) Protocol {
 // ReadConnTraceWith decodes a connection trace under the given
 // options. In lenient mode malformed records are skipped and
 // accounted in the returned DecodeStats; header errors and resource
-// limits (line length, record count) abort in both modes. It is a
-// materializing loop over NewConnScanner — streaming consumers that
+// limits (line length, record count) abort in both modes. It
+// materializes NewConnScanner's records — streaming consumers that
 // must not hold the full trace use the scanner directly.
 func ReadConnTraceWith(r io.Reader, opts DecodeOptions) (*ConnTrace, DecodeStats, error) {
-	sc := NewConnScanner(r, opts)
-	t := &ConnTrace{}
-	for sc.Scan() {
-		t.Conns = append(t.Conns, sc.Conn())
+	hdr, conns, stats, err := readAll(&NewConnScanner(r, opts).scanner)
+	if err != nil {
+		return nil, stats, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, sc.Stats(), err
-	}
-	hdr := sc.Header()
-	t.Name, t.Horizon = hdr.Name, hdr.Horizon
-	return t, sc.Stats(), nil
+	return &ConnTrace{Name: hdr.Name, Horizon: hdr.Horizon, Conns: conns}, stats, nil
 }
 
-// WritePacketTrace encodes a packet trace to w.
+// WritePacketTrace encodes a packet trace to w through a
+// PacketEncoder.
 func WritePacketTrace(w io.Writer, t *PacketTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "#pkttrace %s %g\n", nameField(t.Name), t.Horizon); err != nil {
+	enc, err := NewPacketEncoder(w, t.Name, t.Horizon, false)
+	if err != nil {
 		return err
 	}
-	for _, p := range t.Packets {
-		if _, err := fmt.Fprintf(bw, "%g %d %s %d\n", p.Time, p.Size, p.Proto, p.ConnID); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeAll(enc, t.Packets)
 }
 
 // ReadPacketTrace decodes a packet trace from r in strict mode: the
@@ -173,17 +157,11 @@ func parsePacketLine(f [][]byte, line int) (Packet, error) {
 // ReadPacketTraceWith decodes a packet trace under the given options;
 // see ReadConnTraceWith for the strict/lenient contract.
 func ReadPacketTraceWith(r io.Reader, opts DecodeOptions) (*PacketTrace, DecodeStats, error) {
-	sc := NewPacketScanner(r, opts)
-	t := &PacketTrace{}
-	for sc.Scan() {
-		t.Packets = append(t.Packets, sc.Packet())
+	hdr, pkts, stats, err := readAll(&NewPacketScanner(r, opts).scanner)
+	if err != nil {
+		return nil, stats, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, sc.Stats(), err
-	}
-	hdr := sc.Header()
-	t.Name, t.Horizon = hdr.Name, hdr.Horizon
-	return t, sc.Stats(), nil
+	return &PacketTrace{Name: hdr.Name, Horizon: hdr.Horizon, Packets: pkts}, stats, nil
 }
 
 // nameField makes a trace name safe for the single-token header field.

@@ -6,15 +6,16 @@ import (
 	"strconv"
 )
 
-// Streaming encoders. The batch writers (WriteConnTrace and friends)
-// need the whole trace in memory and — in the binary format — its
-// record count up front. A live source like cmd/wanload knows
-// neither: it emits records as simulated users produce them, for as
-// long as it runs. The encoders below write the header immediately
-// (binary headers carry the StreamedCount sentinel) and then append
-// one record per Write call, producing output the existing scanners
-// decode: text output is byte-identical to the batch writer's, binary
-// output differs only in the header's count field.
+// Streaming encoders. The binary batch writers need the whole trace
+// in memory and its record count up front. A live source like
+// cmd/wanload knows neither: it emits records as simulated users
+// produce them, for as long as it runs. The encoders below write the
+// header immediately (binary headers carry the StreamedCount
+// sentinel) and then append one record per Write call, producing
+// output the existing scanners decode. They hold the text codec's only
+// formatter — the text batch writers are writeAll over an encoder —
+// and binary output differs from the batch writer's only in the
+// header's count field.
 //
 // Encoders are not safe for concurrent use; errors are sticky.
 
@@ -131,6 +132,19 @@ func (e *PacketEncoder) Flush() error { return e.enc.flush() }
 
 // Count reports how many records have been written.
 func (e *PacketEncoder) Count() int64 { return e.enc.count }
+
+// writeAll writes every record through an encoder and flushes it.
+func writeAll[T any](enc interface {
+	Write(T) error
+	Flush() error
+}, recs []T) error {
+	for _, r := range recs {
+		if err := enc.Write(r); err != nil {
+			return err
+		}
+	}
+	return enc.Flush()
+}
 
 // encoder holds the shared header/buffer/error state. scratch is
 // sized for the longest possible text record (two shortest-form

@@ -23,14 +23,34 @@ func samplePackets() []Packet {
 	}
 }
 
-// Text encoder output must be byte-identical to the batch writer's:
-// wanload at any dilation must produce the same bytes the offline
-// generators would.
+// The text format is pinned to literal bytes, so a change to the one
+// formatter shows up here rather than silently in every trace file.
+// The batch writer and the streaming encoder share that formatter;
+// both must produce exactly these bytes. The extra records cover
+// exponent forms, an unknown protocol, negative and extreme integers,
+// and the unnamed-trace header.
+const (
+	pinnedConnText = "#conntrace enc_test 3600\n" +
+		"0.125 3.5 TELNET 100 2048 1\n" +
+		"1.75 0.0625 FTPDATA 0 1048576 2\n" +
+		"2.5 10 WWW 345 6789 3\n" +
+		"1e-07 1.5e+21 OTHER -3 9223372036854775807 -1\n"
+	pinnedPacketText = "#pkttrace unnamed 0.5\n" +
+		"0.25 512 TELNET 7\n" +
+		"0.5 1460 FTPDATA 8\n" +
+		"1.125 40 SMTP 9\n" +
+		"1.234567890625e+08 0 WWW -7\n"
+)
+
 func TestConnEncoderTextMatchesBatchWriter(t *testing.T) {
-	tr := &ConnTrace{Name: "enc test", Horizon: 3600, Conns: sampleConns()}
+	conns := append(sampleConns(), Conn{Start: 1e-07, Duration: 1.5e21, Proto: Protocol(42), BytesOrig: -3, BytesResp: 1<<63 - 1, SessionID: -1})
+	tr := &ConnTrace{Name: "enc test", Horizon: 3600, Conns: conns}
 	var batch bytes.Buffer
 	if err := WriteConnTrace(&batch, tr); err != nil {
 		t.Fatal(err)
+	}
+	if got := batch.String(); got != pinnedConnText {
+		t.Fatalf("batch text:\n%s\nwant pinned:\n%s", got, pinnedConnText)
 	}
 	var streamed bytes.Buffer
 	enc, err := NewConnEncoder(&streamed, tr.Name, tr.Horizon, false)
@@ -45,8 +65,8 @@ func TestConnEncoderTextMatchesBatchWriter(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(batch.Bytes(), streamed.Bytes()) {
-		t.Fatalf("streamed text differs from batch:\nbatch:\n%s\nstreamed:\n%s", batch.Bytes(), streamed.Bytes())
+	if got := streamed.String(); got != pinnedConnText {
+		t.Fatalf("streamed text:\n%s\nwant pinned:\n%s", got, pinnedConnText)
 	}
 	if enc.Count() != int64(len(tr.Conns)) {
 		t.Fatalf("Count = %d, want %d", enc.Count(), len(tr.Conns))
@@ -54,10 +74,14 @@ func TestConnEncoderTextMatchesBatchWriter(t *testing.T) {
 }
 
 func TestPacketEncoderTextMatchesBatchWriter(t *testing.T) {
-	tr := &PacketTrace{Name: "enc test", Horizon: 60, Packets: samplePackets()}
+	pkts := append(samplePackets(), Packet{Time: 123456789.0625, Size: 0, Proto: WWW, ConnID: -7})
+	tr := &PacketTrace{Horizon: 0.5, Packets: pkts}
 	var batch bytes.Buffer
 	if err := WritePacketTrace(&batch, tr); err != nil {
 		t.Fatal(err)
+	}
+	if got := batch.String(); got != pinnedPacketText {
+		t.Fatalf("batch text:\n%s\nwant pinned:\n%s", got, pinnedPacketText)
 	}
 	var streamed bytes.Buffer
 	enc, err := NewPacketEncoder(&streamed, tr.Name, tr.Horizon, false)
@@ -72,8 +96,8 @@ func TestPacketEncoderTextMatchesBatchWriter(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(batch.Bytes(), streamed.Bytes()) {
-		t.Fatalf("streamed text differs from batch:\nbatch:\n%s\nstreamed:\n%s", batch.Bytes(), streamed.Bytes())
+	if got := streamed.String(); got != pinnedPacketText {
+		t.Fatalf("streamed text:\n%s\nwant pinned:\n%s", got, pinnedPacketText)
 	}
 }
 

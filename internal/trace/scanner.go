@@ -12,8 +12,8 @@ import (
 // analyses at available memory. The scanners below pull one record at
 // a time instead, so a streaming consumer (internal/stream,
 // cmd/wanstream, wanstats -stream) ingests traces of any length in
-// bounded memory. The batch readers are thin loops over these
-// scanners, so both paths share one decode implementation — the same
+// bounded memory. The batch readers are one generic loop (readAll)
+// over these scanners, so both paths share one decode implementation — the same
 // strict/lenient semantics, resource limits and DecodeStats
 // accounting documented in decode.go.
 //
@@ -247,6 +247,36 @@ func (s *scanner[T]) Stats() DecodeStats {
 		st.BytesRead = s.cr.n
 	}
 	return st
+}
+
+// readAll materializes every record of a scan: the batch readers
+// (Read*With) are this loop over their scanner. A header or decode
+// error discards the records and returns the stats so far.
+func readAll[T any](s *scanner[T]) (Header, []T, DecodeStats, error) {
+	hdr := s.Header()
+	var recs []T
+	// Preallocation is capped: a corrupt binary header must not force a
+	// huge allocation before the (short) stream disproves its count.
+	// Text headers carry no count, so text reads grow by append.
+	if n := capAlloc(hdr.Expected); n > 0 {
+		recs = make([]T, 0, n)
+	}
+	for s.Scan() {
+		recs = append(recs, s.cur)
+	}
+	if err := s.Err(); err != nil {
+		return hdr, nil, s.Stats(), err
+	}
+	return hdr, recs, s.Stats(), nil
+}
+
+// capAlloc bounds an untrusted record count for slice preallocation.
+func capAlloc(count uint64) int {
+	const max = 1 << 16
+	if count > max {
+		return max
+	}
+	return int(count)
 }
 
 // ConnScanner yields one connection record at a time.
