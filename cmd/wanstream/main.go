@@ -97,9 +97,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	follow := fs.Bool("follow", false, "replay the trace through the live observatory, one verdict line per estimator window")
 	dilate := fs.Float64("dilate", 0, "with -follow: replay speed (1: real time, 60: a trace minute per wall second; 0: full speed)")
 	obsWindow := fs.Float64("obs-window", 0, "with -follow: estimator window in seconds (0 selects 5)")
-	obsKeep := fs.Int("obs-keep", 0, "with -follow: rolling estimator horizon in windows (0 selects 60)")
+	obsKeep := fs.Int("obs-keep", 0, "with -follow: rolling estimator horizon in windows, at least 2 (unset selects 60)")
 	obsHalfLife := fs.Float64("obs-halflife", 0, "with -follow: size-decay half-life in seconds (0 selects 10 windows)")
-	obsWarmup := fs.Int("obs-warmup", 0, "with -follow: windows closed before verdicts leave warming (0 selects 8)")
+	obsWarmup := fs.Int("obs-warmup", 0, "with -follow: windows closed before verdicts leave warming, at least 2 (unset selects 8)")
 
 	// Distributed worker mode (-coord selects it; see internal/coord).
 	coordURL := fs.String("coord", "", "run as a distributed worker POSTing sketch state to this coordinator URL")
@@ -151,20 +151,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cli.Usagef("-follow and -coord are mutually exclusive")
 	}
 	if *follow {
-		// 0 means "use the default" for the obs knobs, so an explicit
-		// -obs-window 0 would otherwise be silently rewritten to 5 s —
-		// reject it instead (the same applies to the other obs knobs).
-		var explicitZero string
+		// 0 means "use the default" for the obs knobs, and the
+		// observatory replaces a horizon or warmup below 2 with its
+		// default, so an explicit -obs-window 0 or -obs-keep 1 would
+		// otherwise be silently rewritten — reject it instead.
+		var bad error
 		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "obs-window", "obs-keep", "obs-halflife", "obs-warmup":
-				if f.Value.String() == "0" {
-					explicitZero = f.Name
-				}
+			switch {
+			case bad != nil:
+			case (f.Name == "obs-window" || f.Name == "obs-halflife") && f.Value.String() == "0":
+				bad = cli.Usagef("-%s must be positive with -follow (omit it for the default)", f.Name)
+			case f.Name == "obs-keep" && *obsKeep < 2, f.Name == "obs-warmup" && *obsWarmup < 2:
+				bad = cli.Usagef("-%s must be at least 2 with -follow (omit it for the default)", f.Name)
 			}
 		})
-		if explicitZero != "" {
-			return cli.Usagef("-%s must be positive with -follow (omit it for the default)", explicitZero)
+		if bad != nil {
+			return bad
 		}
 	}
 	if *coordURL == "" {

@@ -375,6 +375,8 @@ func TestFollowUsageErrors(t *testing.T) {
 		{"explicit zero obs-keep", []string{"-follow", "-obs-keep", "0", "x"}},
 		{"explicit zero obs-halflife", []string{"-follow", "-obs-halflife", "0", "x"}},
 		{"explicit zero obs-warmup", []string{"-follow", "-obs-warmup", "0", "x"}},
+		{"obs-keep below 2", []string{"-follow", "-obs-keep", "1", "x"}},
+		{"obs-warmup below 2", []string{"-follow", "-obs-warmup", "1", "x"}},
 		{"negative obs-window", []string{"-follow", "-obs-window", "-5", "x"}},
 		{"stdin among multiple files", []string{"a", "-"}},
 		{"stdin with coord", []string{"-coord", ":1", "-"}},

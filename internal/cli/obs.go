@@ -41,8 +41,8 @@ type ObsFlags struct {
 	// behind a shared secret; unauthenticated requests get 403.
 	ServeToken string
 	// ExtraHandlers mounts additional routes on the monitor server's
-	// mux. Tools set it between RegisterObs and Start (wancoord mounts
-	// the coordinator API this way).
+	// mux. Tools set it between RegisterObs and Start (wanload mounts
+	// its /load/reshape control this way).
 	ExtraHandlers map[string]http.Handler
 	// HistoryInterval is the self-scrape period of the in-process
 	// metrics history served at /metrics/history under -serve

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -443,7 +442,7 @@ type Results struct {
 	Workers   []WorkerStatus  `json:"workers"`
 }
 
-// snapshotLocked returns the entries sorted by shard. Callers hold
+// entriesLocked returns the entries sorted by shard. Callers hold
 // the lock.
 func (c *Coordinator) entriesLocked() []*workerEntry {
 	ents := make([]*workerEntry, 0, len(c.workers))
@@ -468,20 +467,30 @@ func (c *Coordinator) Merged() ([]byte, string, error) {
 	if len(sketches) == 0 {
 		return nil, "", nil
 	}
-	// MergeSketches clones; the entries' sketches are never mutated, so
-	// releasing the lock during the merge is safe (entries are replaced
-	// wholesale, not updated in place).
-	start := c.opts.Clock()
-	merged, err := stream.MergeSketches(sketches)
-	c.mergeMS.Observe(float64(c.opts.Clock().Sub(start)) / float64(time.Millisecond))
-	if err != nil {
-		return nil, "", err
-	}
-	state, err := merged.State()
+	_, state, err := c.merge(sketches)
 	if err != nil {
 		return nil, "", err
 	}
 	return state, Digest(state), nil
+}
+
+// merge is the canonical merge behind Merged and Results, timed into
+// coord.merge_ms: it returns the merged sketch and its serialized
+// bytes. MergeSketches clones; the entries' sketches are never
+// mutated, so callers release the lock before merging (entries are
+// replaced wholesale, not updated in place).
+func (c *Coordinator) merge(sketches []*stream.Sketch) (*stream.Sketch, []byte, error) {
+	start := c.opts.Clock()
+	merged, err := stream.MergeSketches(sketches)
+	c.mergeMS.Observe(float64(c.opts.Clock().Sub(start)) / float64(time.Millisecond))
+	if err != nil {
+		return nil, nil, err
+	}
+	state, err := merged.State()
+	if err != nil {
+		return nil, nil, err
+	}
+	return merged, state, nil
 }
 
 // Results assembles the combined results block.
@@ -525,13 +534,7 @@ func (c *Coordinator) Results() (*Results, error) {
 	default:
 		res.Status = ResultPartial
 	}
-	start := c.opts.Clock()
-	merged, err := stream.MergeSketches(sketches)
-	c.mergeMS.Observe(float64(c.opts.Clock().Sub(start)) / float64(time.Millisecond))
-	if err != nil {
-		return nil, err
-	}
-	state, err := merged.State()
+	merged, state, err := c.merge(sketches)
 	if err != nil {
 		return nil, err
 	}
@@ -593,33 +596,15 @@ type snapshotFile struct {
 	Workers []Upload `json:"workers"`
 }
 
-// writeSnapshotLocked persists the state atomically (temp + rename),
-// the same discipline as the runner checkpointer: a crash mid-write
-// never corrupts the previous snapshot.
+// writeSnapshotLocked persists the state atomically, the same
+// discipline as the runner checkpointer: a crash mid-write never
+// corrupts the previous snapshot.
 func (c *Coordinator) writeSnapshotLocked() error {
 	snap := snapshotFile{Proto: Proto}
 	for _, ent := range c.entriesLocked() {
 		snap.Workers = append(snap.Workers, ent.last)
 	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(c.opts.Snapshot)
-	tmp, err := os.CreateTemp(dir, ".coord-snap-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), c.opts.Snapshot); err != nil {
+	if err := writeJSONAtomic(c.opts.Snapshot, ".coord-snap-*", snap); err != nil {
 		return err
 	}
 	c.snapshotWrites.Inc()

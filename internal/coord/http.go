@@ -8,9 +8,10 @@ import (
 	"wantraffic/internal/monitor"
 )
 
-// HTTP surface. The coordinator mounts onto the monitor server via
-// cli.ObsFlags.ExtraHandlers, so /metrics, /healthz and /events come
-// for free and the same -serve-token guards the mutating routes:
+// HTTP surface. Mount adds the coordinator's routes to a monitor
+// server's options (wancoord builds its own monitor.Options and
+// calls it), so /metrics, /healthz and /events come for free and the
+// server's token guards the mutating routes:
 //
 //	POST /v1/upload    worker state transfer (guarded)
 //	GET  /v1/results   combined results JSON (open)
@@ -22,8 +23,8 @@ import (
 const maxUploadBytes = 16 << 20
 
 // Handlers returns the coordinator's route map. Mutating routes are
-// wrapped with the token guard of srvToken via monitor.CheckToken
-// when a guard is supplied; pass nil to leave them open.
+// wrapped with guard when one is supplied (Mount passes the monitor
+// token check); pass nil to leave them open.
 func (c *Coordinator) Handlers(guard func(http.Handler) http.Handler) map[string]http.Handler {
 	if guard == nil {
 		guard = func(h http.Handler) http.Handler { return h }

@@ -310,14 +310,20 @@ func (w *worker) step(ctx context.Context, batch []stream.Obs) error {
 	return nil
 }
 
-// writeCheckpoint persists an upload atomically (temp + rename).
+// writeCheckpoint persists an upload atomically.
 func writeCheckpoint(path string, u Upload) error {
-	raw, err := json.Marshal(u)
+	return writeJSONAtomic(path, ".worker-ckpt-*", u)
+}
+
+// writeJSONAtomic writes v as one JSON line to path through a temp
+// file in the same directory and a rename, so a crash mid-write never
+// corrupts the previous file.
+func writeJSONAtomic(path, tmpPattern string, v any) error {
+	raw, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".worker-ckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
 	if err != nil {
 		return err
 	}

@@ -273,17 +273,6 @@ func (d *Daemon) srcOf(gi int) int32 {
 	panic("load: user index out of range")
 }
 
-func (d *Daemon) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !d.heap[i].less(d.heap[p]) {
-			return
-		}
-		d.heap[i], d.heap[p] = d.heap[p], d.heap[i]
-		i = p
-	}
-}
-
 func (d *Daemon) siftDown(i int) {
 	n := len(d.heap)
 	for {

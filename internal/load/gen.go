@@ -40,7 +40,7 @@ func (s *sm64) Uint64() uint64 {
 	return splitmix64(uint64(*s))
 }
 
-func (s *sm64) Int63() int64   { return int64(s.Uint64() >> 1) }
+func (s *sm64) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *sm64) Seed(seed int64) { *s = sm64(seed) }
 
 // userSeed splits the scenario seed into an independent stream per
@@ -143,11 +143,11 @@ func (a *diurnalArr) reshape(now, ratio float64) {
 // configured rate, so the long-run mean is rate*(1+(factor-1)*length/every).
 // Memoryless stepping at segment boundaries keeps the draw exact.
 type burstyArr struct {
-	rng            *rand.Rand
-	rate           float64
-	factor         float64
-	every, length  float64
-	t              float64
+	rng           *rand.Rand
+	rate          float64
+	factor        float64
+	every, length float64
+	t             float64
 }
 
 func newBurstyArr(rng *rand.Rand, rate, factor, every, length, start float64) *burstyArr {
@@ -293,7 +293,7 @@ func newPayload(proto trace.Protocol) payload {
 		p.connDur = dist.NewLogNormal(5.5, 1.4) // median ~4.1 min sessions
 		p.pktSize = 64
 	default:
-		p.connDur = dist.NewLogNormal(1.0, 1.5)  // median ~2.7 s transfers
+		p.connDur = dist.NewLogNormal(1.0, 1.5)   // median ~2.7 s transfers
 		p.connBytes = dist.NewLogNormal(8.0, 2.0) // median ~3 KB
 		p.pktSize = 512
 	}

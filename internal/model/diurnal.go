@@ -37,12 +37,6 @@ func (p DiurnalProfile) Normalize() DiurnalProfile {
 	return out
 }
 
-// FractionAt returns the normalized fraction of a day's connections
-// in the given hour (0–23).
-func (p DiurnalProfile) FractionAt(hour int) float64 {
-	return p.Normalize()[((hour%24)+24)%24]
-}
-
 // Flat is a constant profile (every hour equal).
 func Flat() DiurnalProfile {
 	var p DiurnalProfile

@@ -51,8 +51,7 @@ type Options struct {
 	// Heartbeat is the SSE keep-alive comment interval (default 15s).
 	Heartbeat time.Duration
 	// Token, when non-empty, guards the mutating endpoints: POST
-	// /quitquitquit (and any handler the host wraps with
-	// Server.Guard) requires the shared secret in an
+	// /quitquitquit requires the shared secret in an
 	// "Authorization: Bearer <token>" or "X-Wantraffic-Token" header.
 	// Unauthenticated requests get 403 and monitor.auth.denied
 	// increments. Read-only endpoints stay open.
@@ -212,16 +211,6 @@ func (s *Server) Authorize(w http.ResponseWriter, r *http.Request) bool {
 	}
 	http.Error(w, "forbidden: missing or wrong -serve-token", http.StatusForbidden)
 	return false
-}
-
-// Guard wraps a mutating handler with the server's token check.
-func (s *Server) Guard(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.Authorize(w, r) {
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 // handleEvents streams bus events as Server-Sent Events:

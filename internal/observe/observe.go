@@ -70,6 +70,23 @@ const nproto = 9
 // *below* the estimator window to see short-range structure.
 const binsPerWindow = 8
 
+// Estimator constants (DESIGN.md §14).
+const (
+	// tailFrac is the fraction of decayed mass the Hill estimator
+	// treats as the tail.
+	tailFrac = 0.1
+	// quantEps is the GK rank error of the per-window p50/p95.
+	quantEps = stream.DefaultEpsilon
+	// phDelta and phLambda are the Page–Hinkley drift and threshold as
+	// fractions of each signal's calibrated scale, sized so Poisson
+	// counting noise at moderate rates stays under the drift allowance
+	// while a 2x step alarms within a few windows.
+	phDelta, phLambda = 0.1, 3.0
+	// phCooldown is the quiet period in windows after a change-point
+	// before the (re-warming) detector may fire again.
+	phCooldown = 4
+)
+
 // Options configures an Observatory. The zero value selects the
 // defaults noted on each field.
 type Options struct {
@@ -84,24 +101,9 @@ type Options struct {
 	// HalfLife is the exponential-decay half-life in seconds for the
 	// size moments and the Hill tail sample (default 10·Window).
 	HalfLife float64
-	// TailFrac is the fraction of decayed mass treated as the tail by
-	// the Hill estimator (default 0.1).
-	TailFrac float64
-	// Eps is the GK quantile error for the per-window p50/p95
-	// (default stream.DefaultEpsilon).
-	Eps float64
 	// Warmup is the number of closed windows before verdicts leave
 	// "warming" and detectors calibrate (default 8, minimum 2).
 	Warmup int
-	// Delta and Lambda are the Page–Hinkley drift and threshold as
-	// fractions of each signal's calibrated scale (defaults 0.1 and
-	// 3.0 — sized so Poisson counting noise at moderate rates stays
-	// under the drift allowance while a 2x step alarms within a few
-	// windows).
-	Delta, Lambda float64
-	// Cooldown is the quiet period in windows after a change-point
-	// before the (re-warming) detector may fire again (default 4).
-	Cooldown int
 
 	// OnEvent, when set, receives every verdict and change-point
 	// event synchronously in emission order — the deterministic
@@ -133,23 +135,8 @@ func (o Options) withDefaults() Options {
 	if !(o.HalfLife > 0) {
 		o.HalfLife = 10 * o.Window
 	}
-	if !(o.TailFrac > 0) || o.TailFrac > 1 {
-		o.TailFrac = 0.1
-	}
-	if !(o.Eps > 0) {
-		o.Eps = stream.DefaultEpsilon
-	}
 	if o.Warmup < 2 {
 		o.Warmup = 8
-	}
-	if !(o.Delta > 0) {
-		o.Delta = 0.1
-	}
-	if !(o.Lambda > 0) {
-		o.Lambda = 3.0
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 4
 	}
 	if o.Context == nil {
 		o.Context = context.Background()
@@ -208,17 +195,17 @@ func New(opt Options) *Observatory {
 		arrivals: stream.NewRollingCounter(opt.Window, opt.KeepWindows),
 		bins:     stream.NewRollingCounter(opt.Window/binsPerWindow, opt.KeepWindows*binsPerWindow),
 		sizes:    stream.NewDecayed(opt.Window, opt.HalfLife),
-		detRate:  NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
-		detDisp:  NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
-		detTail:  NewPageHinkley(opt.Delta, opt.Lambda, opt.Warmup, opt.Cooldown),
+		quant:    stream.NewTumbling(opt.Window, quantEps),
+		detRate:  NewPageHinkley(phDelta, phLambda, opt.Warmup, phCooldown),
+		detDisp:  NewPageHinkley(phDelta, phLambda, opt.Warmup, phCooldown),
+		detTail:  NewPageHinkley(phDelta, phLambda, opt.Warmup, phCooldown),
 		closeWM:  opt.Marks.Stage(obs.StageWindowClose),
 	}
-	o.quant = stream.NewTumbling(opt.Window, func() stream.Accumulator { return stream.NewGK(opt.Eps) })
-	o.quant.OnClose = func(_ int64, inner stream.Accumulator) {
+	o.quant.OnClose = func(_ int64, g *stream.GK) {
 		o.lastP50, o.lastP95 = 0, 0
-		if gk, ok := inner.(*stream.GK); ok && gk.Count() > 0 {
-			o.lastP50 = finite(gk.Quantile(0.50))
-			o.lastP95 = finite(gk.Quantile(0.95))
+		if g.Count() > 0 {
+			o.lastP50 = finite(g.Quantile(0.50))
+			o.lastP95 = finite(g.Quantile(0.95))
 		}
 	}
 	return o
@@ -258,7 +245,7 @@ func (o *Observatory) observe(t, x float64, p trace.Protocol) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		x = 0
 	}
-	w := o.windowIndex(t)
+	w := stream.WindowIndex(t, o.opt.Window)
 	if !o.started {
 		o.cur, o.started = w, true
 	} else if w > o.cur {
@@ -286,14 +273,6 @@ func (o *Observatory) Flush() {
 		return
 	}
 	o.closeThrough(o.cur + 1)
-}
-
-func (o *Observatory) windowIndex(t float64) int64 {
-	w := t / o.opt.Window
-	if w >= math.MaxInt64/2 {
-		return math.MaxInt64 / 2
-	}
-	return int64(w)
 }
 
 // closeThrough closes every window in [cur, w) in order. A
@@ -353,7 +332,7 @@ func (o *Observatory) estimate(wc int64) Estimate {
 		MeanSize:   finite(o.sizes.Mean()),
 		Weight:     finite(o.sizes.Weight()),
 	}
-	est.TailAlpha, est.TailWeight = HillBinned(o.sizes.Buckets(), o.opt.TailFrac)
+	est.TailAlpha, est.TailWeight = HillBinned(o.sizes.Buckets(), tailFrac)
 	est.TailAlpha, est.TailWeight = finite(est.TailAlpha), finite(est.TailWeight)
 	est.Hurst = o.hurst()
 	for pi, n := range o.protoWin {
@@ -694,8 +673,10 @@ func (o *Observatory) State() ([]byte, error) {
 
 // Restore replaces the observatory's analytical state from State
 // output. The receiver must have been built with the same Options the
-// serialized observatory ran under; output wiring (OnEvent, Bus,
-// Metrics, Logger) is the receiver's own.
+// serialized observatory ran under — the nested sketch states must
+// carry its window, horizon and half-life — and output wiring
+// (OnEvent, Bus, Metrics, Logger) is the receiver's own. A rejected
+// state may leave the receiver partially restored.
 func (o *Observatory) Restore(data []byte) error {
 	var st obsState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -706,6 +687,10 @@ func (o *Observatory) Restore(data []byte) error {
 	}
 	if st.Window != o.opt.Window {
 		return fmt.Errorf("observe: state window %g does not match options window %g", st.Window, o.opt.Window)
+	}
+	// Flush leaves the cursor one past the last window it closed.
+	if st.Cur < 0 || st.Cur > stream.MaxWindow+1 {
+		return fmt.Errorf("observe: state window cursor %d out of range", st.Cur)
 	}
 	if st.Records < 0 || st.Closed < 0 || st.WinRecords < 0 {
 		return fmt.Errorf("observe: state has negative counters")

@@ -2,7 +2,9 @@ package observe
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,6 +147,12 @@ func TestObservatoryStateRestoreMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// obsState v1 is a persisted format: pin its bytes, not just its
+	// round trip, so a refactor of the sketches cannot drift them.
+	const wantSHA = "da5bd227f1a52eca148d80777bc09b2ba8f8251802a917454704654ccdc3fd74"
+	if got := fmt.Sprintf("%x", sha256.Sum256(want)); got != wantSHA || len(want) != 2979 {
+		t.Fatalf("final state is %d bytes with sha256 %s, want 2979 bytes with %s", len(want), got, wantSHA)
+	}
 	for _, cut := range []int{0, 1, len(conns) / 3, len(conns) / 2, len(conns) - 1} {
 		var preEvs []Event
 		o := New(testOptions(&preEvs))
@@ -235,6 +243,16 @@ func TestObservatoryEmptyWindowsAndGaps(t *testing.T) {
 	o.ObserveConn(trace.Conn{Start: math.Inf(1), BytesResp: 10})
 	if o.Records() != 5 {
 		t.Fatalf("records = %d, want 5", o.Records())
+	}
+	// Flushing at the capped window leaves the cursor one past the
+	// last window index; that state must still restore.
+	o.Flush()
+	st, err := o.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(testOptions(new([]Event))).Restore(st); err != nil {
+		t.Fatalf("state flushed at the capped window does not restore: %v", err)
 	}
 }
 

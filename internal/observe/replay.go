@@ -30,9 +30,8 @@ type ReplayOptions struct {
 	Now   func() time.Time
 	// Decode configures the trace scanners (leniency, limits).
 	Decode trace.DecodeOptions
-	// Flush, when true (the default via ReplayFlush), closes the
-	// final partial window at EOF so short traces still emit a last
-	// verdict.
+	// Flush, when true, closes the final partial window at EOF so
+	// short traces still emit a last verdict.
 	Flush bool
 }
 

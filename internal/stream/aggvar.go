@@ -53,9 +53,6 @@ func (a *AggVar) Kind() string { return aggVarKind }
 // Count returns the number of events observed.
 func (a *AggVar) Count() int64 { return a.counts.Count() }
 
-// BinWidth returns the base bin width in seconds.
-func (a *AggVar) BinWidth() float64 { return a.counts.Width() }
-
 // Bins returns the current number of base bins.
 func (a *AggVar) Bins() int { return a.counts.Windows() }
 

@@ -72,9 +72,6 @@ func (g *GK) Kind() string { return gkKind }
 // Count returns the number of observations.
 func (g *GK) Count() int64 { return g.n + int64(len(g.buf)) }
 
-// Epsilon returns the sketch's single-shard rank-error bound.
-func (g *GK) Epsilon() float64 { return g.eps }
-
 // Observe folds one observation in.
 func (g *GK) Observe(x float64) {
 	g.buf = append(g.buf, x)

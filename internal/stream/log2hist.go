@@ -87,21 +87,6 @@ func (h *Log2Hist) Buckets() []Bucket {
 	return out
 }
 
-// CDFBelow returns the fraction of observations below 2^k,
-// non-positive observations counted below everything.
-func (h *Log2Hist) CDFBelow(k int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	c := h.nonPos
-	for e, n := range h.counts {
-		if e < k {
-			c += n
-		}
-	}
-	return float64(c) / float64(h.total)
-}
-
 // Merge adds another histogram's buckets — exact and commutative.
 func (h *Log2Hist) Merge(other Accumulator) error {
 	o, ok := other.(*Log2Hist)

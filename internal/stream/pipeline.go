@@ -126,9 +126,6 @@ func NewSession(traceKind string, popts PipelineOptions) (*Session, error) {
 	return &Session{popts: popts, kind: traceKind, shards: shards}, nil
 }
 
-// Shards returns the session's shard count.
-func (s *Session) Shards() int { return s.popts.Shards }
-
 // Records returns the total records folded in across all calls.
 func (s *Session) Records() int64 {
 	var n int64

@@ -47,9 +47,6 @@ func (w *WindowCounter) Kind() string { return windowKind }
 // Count returns the number of events observed.
 func (w *WindowCounter) Count() int64 { return w.total }
 
-// Width returns the window width in seconds.
-func (w *WindowCounter) Width() float64 { return w.width }
-
 // Windows returns the number of windows spanned so far.
 func (w *WindowCounter) Windows() int { return len(w.counts) }
 

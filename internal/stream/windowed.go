@@ -21,12 +21,10 @@ import (
 //     windows exactly (evicted windows collapse into exact totals), so
 //     rate / dispersion / lag-1 / variance-time answer "now", in O(K)
 //     memory over an unbounded stream.
-//   - Tumbling: a generic restart wrapper around any base Accumulator
-//     (moments, GK quantiles, log₂ histograms, ...): observations fold
-//     into the current time window's inner sketch, which is handed to
-//     an OnClose hook and replaced when the window rolls. GK gets its
-//     windowed form this way — deletion is impossible in a GK summary,
-//     restarting is exact.
+//   - Tumbling: GK's windowed form. Observations fold into the current
+//     time window's quantile summary, which is handed to an OnClose
+//     hook and replaced when the window rolls — deletion is impossible
+//     in a GK summary, restarting is exact.
 //   - Decayed: exponentially time-decayed moments plus a decayed log₂
 //     histogram (the tail sample behind the rolling Hill estimator).
 //     Decay is quantized to window boundaries — the weight multiplier
@@ -34,46 +32,49 @@ import (
 //     — so the state is a pure function of the observation sequence,
 //     never of arrival wall time.
 //
-// All three keep the base contract (DESIGN.md §10, §14): State is a
-// deterministic byte-exact capture, Restore(State()) is an exact
-// round-trip, observe(a);State/Restore;observe(b) ≡ observe(a+b)
-// byte-for-byte, and Merge is pure so canonical (ascending-shard)
-// folds are permutation-invariant. Because windows are indexed by
-// *event time*, not wall time, a time-dilated replay produces the
-// same windows — and therefore the same estimator and verdict
-// sequence — at any dilation factor.
-
-// TimedAccumulator is the windowed extension of Accumulator: the
-// observation carries its event time, which drives window rolls and
-// decay. RollingCounter, Tumbling and Decayed implement it.
-type TimedAccumulator interface {
-	// Kind names the windowed sketch type.
-	Kind() string
-	// Count returns the exact number of observations ever folded in
-	// (retained or not).
-	Count() int64
-	// ObserveAt folds one observation with value x at event time t
-	// (seconds since stream start). Times should be non-decreasing;
-	// late observations fold into the current window with accounting.
-	ObserveAt(t, x float64)
-	// AdvanceTo rolls windows forward to contain time t without
-	// recording an observation — the stream-end flush and the
-	// estimator tick use it to close out windows deterministically.
-	AdvanceTo(t float64)
-	// Merge folds another windowed accumulator of the same kind and
-	// configuration into the receiver.
-	Merge(other TimedAccumulator) error
-	// State serializes the sketch deterministically as JSON.
-	State() ([]byte, error)
-	// Restore replaces the sketch's state from State output.
-	Restore(data []byte) error
-}
+// All three keep the base state contract (DESIGN.md §10, §14): State
+// is a deterministic byte-exact capture, Restore(State()) into a
+// sketch built with the same shape is an exact round-trip, and
+// observe(a);State/Restore;observe(b) ≡ observe(a+b) byte-for-byte.
+// Windows are indexed by *event time* through WindowIndex, not wall
+// time, so a time-dilated replay produces the same windows — and
+// therefore the same estimator and verdict sequence — at any dilation
+// factor.
 
 const (
 	rollingKind  = "rollwin"
 	tumblingKind = "tumbling"
 	decayedKind  = "decayed"
 )
+
+// MaxWindow is the largest index WindowIndex yields. Restore rejects
+// window positions outside [0, MaxWindow], so a corrupted state
+// cannot overflow the window arithmetic.
+const MaxWindow = math.MaxInt64 / 2
+
+// WindowIndex maps an event time (seconds since stream start) to the
+// index of its window of the given width, clamped to [0, MaxWindow]:
+// negative and NaN times land in window 0, and a corrupted far-future
+// timestamp cannot force an astronomic fast-forward.
+func WindowIndex(t, width float64) int64 {
+	w := t / width
+	switch {
+	case !(w > 0):
+		return 0
+	case w >= MaxWindow:
+		return MaxWindow
+	}
+	return int64(w)
+}
+
+// checkWindow rejects a restored window position WindowIndex cannot
+// produce.
+func checkWindow(kind string, w int64) error {
+	if w < 0 || w > MaxWindow {
+		return fmt.Errorf("stream: %s state has window %d outside [0, %d]", kind, w, int64(MaxWindow))
+	}
+	return nil
+}
 
 // RollingCounter is the rolling extension of WindowCounter: it bins
 // event times into fixed-width windows but retains only the most
@@ -108,17 +109,8 @@ func NewRollingCounter(width float64, keep int) *RollingCounter {
 	return &RollingCounter{width: width, keep: keep}
 }
 
-// Kind implements TimedAccumulator.
-func (r *RollingCounter) Kind() string { return rollingKind }
-
 // Count returns the exact number of events observed, retained or not.
 func (r *RollingCounter) Count() int64 { return r.total }
-
-// Width returns the window width in seconds.
-func (r *RollingCounter) Width() float64 { return r.width }
-
-// Keep returns the retained-window capacity.
-func (r *RollingCounter) Keep() int { return r.keep }
 
 // Base returns the index of the oldest retained window.
 func (r *RollingCounter) Base() int64 { return r.base }
@@ -132,16 +124,6 @@ func (r *RollingCounter) EvictedEvents() int64 { return r.evictedEvents }
 // Stale returns the events that arrived already older than the
 // retained horizon (counted, never binned).
 func (r *RollingCounter) Stale() int64 { return r.stale }
-
-// windowIndex maps an event time to its window index, capped so a
-// corrupted timestamp cannot force an astronomic fast-forward.
-func (r *RollingCounter) windowIndex(t float64) int64 {
-	w := t / r.width
-	if w >= math.MaxInt64/2 {
-		return math.MaxInt64 / 2
-	}
-	return int64(w)
-}
 
 // advance rolls the ring forward so window w is representable,
 // evicting windows that fall off the back.
@@ -187,26 +169,15 @@ func (r *RollingCounter) advance(w int64) {
 	}
 }
 
-// Observe implements Accumulator (the observation is the event time),
-// so a RollingCounter can stand in wherever a WindowCounter does.
-func (r *RollingCounter) Observe(t float64) { r.ObserveAt(t, t) }
-
-// ObserveMany implements Accumulator.
-func (r *RollingCounter) ObserveMany(ts []float64) {
-	for _, t := range ts {
-		r.ObserveAt(t, t)
-	}
-}
-
-// ObserveAt implements TimedAccumulator; x is ignored (the statistic
-// is the count process itself).
+// ObserveAt folds one event at event time t; x is ignored (the
+// statistic is the count process itself).
 func (r *RollingCounter) ObserveAt(t, _ float64) {
 	r.total++
 	if t < 0 || math.IsNaN(t) {
 		r.early++
 		return
 	}
-	w := r.windowIndex(t)
+	w := WindowIndex(t, r.width)
 	if r.started && w < r.base {
 		r.stale++
 		return
@@ -215,13 +186,14 @@ func (r *RollingCounter) ObserveAt(t, _ float64) {
 	r.ring[w-r.base]++
 }
 
-// AdvanceTo implements TimedAccumulator: windows strictly before t's
-// window stay retained, older ones are evicted, no event is recorded.
+// AdvanceTo rolls windows forward to contain time t without recording
+// an event: windows strictly before t's window stay retained, older
+// ones are evicted.
 func (r *RollingCounter) AdvanceTo(t float64) {
 	if t < 0 || math.IsNaN(t) {
 		return
 	}
-	r.advance(r.windowIndex(t))
+	r.advance(WindowIndex(t, r.width))
 }
 
 // Counts returns the retained per-window counts as float64s, oldest
@@ -233,15 +205,6 @@ func (r *RollingCounter) Counts() []float64 {
 		out[i] = float64(c)
 	}
 	return out
-}
-
-// WindowCount returns the count of retained window w (0 if outside
-// the ring).
-func (r *RollingCounter) WindowCount(w int64) int64 {
-	if w < r.base || w >= r.base+int64(len(r.ring)) {
-		return 0
-	}
-	return r.ring[w-r.base]
 }
 
 // Rate returns the mean event rate per second over the retained
@@ -269,55 +232,6 @@ func (r *RollingCounter) Lag1() float64 {
 	return (&WindowCounter{width: r.width, counts: r.ring}).Lag1()
 }
 
-// Merge folds another rolling counter in. Widths and capacities must
-// match; the merged ring covers the younger of the two bases, and
-// counts of the other that fall off it are folded into the evicted
-// totals (exact — no event is lost, only its bin).
-func (r *RollingCounter) Merge(other TimedAccumulator) error {
-	o, ok := other.(*RollingCounter)
-	if !ok {
-		return fmt.Errorf("stream: cannot merge %q into %q", other.Kind(), rollingKind)
-	}
-	if o.width != r.width || o.keep != r.keep {
-		return fmt.Errorf("stream: merging rolling counters with different shapes (%gx%d vs %gx%d)",
-			o.width, o.keep, r.width, r.keep)
-	}
-	oring, obase := o.ring, o.base
-	if o == r {
-		oring = append([]int64(nil), r.ring...)
-	}
-	r.total += o.total
-	r.early += o.early
-	r.stale += o.stale
-	r.evictedEvents += o.evictedEvents
-	if o.evictedWins > r.evictedWins {
-		r.evictedWins = o.evictedWins
-	}
-	if !o.started {
-		return nil
-	}
-	if !r.started {
-		r.started = true
-		r.base = obase
-		r.ring = append(r.ring[:0], oring...)
-		return nil
-	}
-	top := obase + int64(len(oring)) - 1
-	if t := r.base + int64(len(r.ring)) - 1; t > top {
-		top = t
-	}
-	r.advance(top)
-	for i, c := range oring {
-		w := obase + int64(i)
-		if w < r.base {
-			r.evictedEvents += c
-			continue
-		}
-		r.ring[w-r.base] += c
-	}
-	return nil
-}
-
 // rollingState is the serialized form.
 type rollingState struct {
 	Width         float64 `json:"width"`
@@ -332,7 +246,7 @@ type rollingState struct {
 	Total         int64   `json:"total"`
 }
 
-// State implements TimedAccumulator.
+// State serializes the counter deterministically as JSON.
 func (r *RollingCounter) State() ([]byte, error) {
 	return marshalState(rollingKind, rollingState{
 		Width: r.width, Keep: r.keep, Started: r.started, Base: r.base, Ring: r.ring,
@@ -341,17 +255,22 @@ func (r *RollingCounter) State() ([]byte, error) {
 	})
 }
 
-// Restore implements TimedAccumulator.
+// Restore replaces the counter's state from State output; the state
+// must carry the receiver's width and keep.
 func (r *RollingCounter) Restore(data []byte) error {
 	var st rollingState
 	if err := unmarshalState(rollingKind, data, &st); err != nil {
 		return err
 	}
-	if !(st.Width > 0) || st.Keep < 1 {
-		return fmt.Errorf("stream: rolling state has invalid shape width=%g keep=%d", st.Width, st.Keep)
+	if st.Width != r.width || st.Keep != r.keep {
+		return fmt.Errorf("stream: rolling state shape %gx%d does not match the counter's %gx%d",
+			st.Width, st.Keep, r.width, r.keep)
 	}
 	if len(st.Ring) > st.Keep {
 		return fmt.Errorf("stream: rolling state holds %d windows (keep %d)", len(st.Ring), st.Keep)
+	}
+	if err := checkWindow(rollingKind, st.Base); err != nil {
+		return err
 	}
 	var binned int64
 	for _, c := range st.Ring {
@@ -373,68 +292,59 @@ func (r *RollingCounter) Restore(data []byte) error {
 	return nil
 }
 
-// Tumbling restarts a base accumulator at fixed time-window
-// boundaries: observations fold into the inner sketch of the window
-// their event time falls in; when time crosses a boundary, the closed
-// window's inner sketch is handed to OnClose (windows skipped entirely
-// produce no call) and replaced with a fresh one. The inner factory
-// must be deterministic — same call, same empty sketch — which every
-// stream constructor is.
+// Tumbling is GK's windowed form: observations fold into the quantile
+// summary of the window their event time falls in; when time crosses
+// a boundary, the closed window's summary is handed to OnClose
+// (windows skipped entirely produce no call) and replaced with a
+// fresh one.
 type Tumbling struct {
 	width  float64
-	mk     func() Accumulator
-	cur    int64 // current window index
-	open   bool  // false until the first in-range observation
-	inner  Accumulator
+	eps    float64 // rank-error bound of each window's summary
+	cur    int64   // current window index
+	open   bool    // false until the first in-range observation
+	inner  *GK
 	closed int64 // windows closed so far (only ones that saw data or a roll)
 	late   int64 // observations older than the open window (folded anyway)
 	total  int64
 
-	// OnClose, when set, receives each closed window's inner sketch
-	// before it is replaced. The callee may keep the value; it is
-	// never touched again. Not serialized.
-	OnClose func(window int64, inner Accumulator)
+	// OnClose, when set, receives each closed window's summary before
+	// it is replaced. The callee may keep the value; it is never
+	// touched again. Not serialized.
+	OnClose func(window int64, g *GK)
 }
 
-// NewTumbling returns a tumbling wrapper with the given window width
-// in seconds (≤ 0 selects 1 s) around sketches built by mk.
-func NewTumbling(width float64, mk func() Accumulator) *Tumbling {
+// NewTumbling returns a tumbling GK summary with the given window
+// width in seconds (≤ 0 selects 1 s) and per-window rank error eps
+// (as NewGK).
+func NewTumbling(width, eps float64) *Tumbling {
 	if !(width > 0) {
 		width = 1
 	}
-	return &Tumbling{width: width, mk: mk, inner: mk()}
+	return &Tumbling{width: width, eps: eps, inner: NewGK(eps)}
 }
-
-// Kind implements TimedAccumulator.
-func (u *Tumbling) Kind() string { return tumblingKind }
 
 // Count returns the observations ever folded in, across all windows.
 func (u *Tumbling) Count() int64 { return u.total }
 
-// Width returns the window width in seconds.
-func (u *Tumbling) Width() float64 { return u.width }
-
-// Window returns the index of the currently open window (0 before any
-// observation).
-func (u *Tumbling) Window() int64 { return u.cur }
-
 // Closed returns the number of windows closed so far.
 func (u *Tumbling) Closed() int64 { return u.closed }
 
-// Inner returns the open window's accumulator (live — callers must
-// not mutate it).
-func (u *Tumbling) Inner() Accumulator { return u.inner }
+// Inner returns the open window's summary (live — callers must not
+// mutate it).
+func (u *Tumbling) Inner() *GK { return u.inner }
 
 // Late returns the observations that arrived for an already-closed
 // window; they fold into the open window with this accounting.
 func (u *Tumbling) Late() int64 { return u.late }
 
-func (u *Tumbling) windowIndex(t float64) int64 {
-	w := t / u.width
-	if w >= math.MaxInt64/2 {
-		return math.MaxInt64 / 2
+// closeOpen hands the open window's summary to OnClose and starts a
+// fresh one.
+func (u *Tumbling) closeOpen() {
+	if u.OnClose != nil {
+		u.OnClose(u.cur, u.inner)
 	}
-	return int64(w)
+	u.inner = NewGK(u.eps)
+	u.closed++
 }
 
 // roll closes windows up to (but not including) w.
@@ -447,21 +357,14 @@ func (u *Tumbling) roll(w int64) {
 	if w <= u.cur {
 		return
 	}
-	if u.OnClose != nil {
-		u.OnClose(u.cur, u.inner)
-	}
-	u.inner = u.mk()
-	u.closed++
+	u.closeOpen()
 	u.cur = w
 }
 
-// ObserveAt implements TimedAccumulator.
+// ObserveAt folds value x at event time t.
 func (u *Tumbling) ObserveAt(t, x float64) {
 	u.total++
-	if t < 0 || math.IsNaN(t) {
-		t = 0
-	}
-	w := u.windowIndex(t)
+	w := WindowIndex(t, u.width)
 	if u.open && w < u.cur {
 		u.late++
 	} else {
@@ -470,13 +373,9 @@ func (u *Tumbling) ObserveAt(t, x float64) {
 	u.inner.Observe(x)
 }
 
-// AdvanceTo implements TimedAccumulator: closes the open window when t
-// has moved past it.
+// AdvanceTo closes the open window when t has moved past it.
 func (u *Tumbling) AdvanceTo(t float64) {
-	if t < 0 || math.IsNaN(t) {
-		return
-	}
-	if w := u.windowIndex(t); u.open && w > u.cur {
+	if w := WindowIndex(t, u.width); u.open && w > u.cur {
 		u.roll(w)
 	}
 }
@@ -487,35 +386,8 @@ func (u *Tumbling) Flush() {
 	if !u.open {
 		return
 	}
-	if u.OnClose != nil {
-		u.OnClose(u.cur, u.inner)
-	}
-	u.inner = u.mk()
-	u.closed++
+	u.closeOpen()
 	u.open = false
-}
-
-// Merge folds another tumbling wrapper in: widths must match and both
-// must be on the same open window (shards tumbling over the same
-// stream always are after an AdvanceTo to a common time).
-func (u *Tumbling) Merge(other TimedAccumulator) error {
-	o, ok := other.(*Tumbling)
-	if !ok {
-		return fmt.Errorf("stream: cannot merge %q into %q", other.Kind(), tumblingKind)
-	}
-	if o.width != u.width {
-		return fmt.Errorf("stream: merging tumbling windows with different widths (%g vs %g)", o.width, u.width)
-	}
-	if o.open && u.open && o.cur != u.cur {
-		return fmt.Errorf("stream: merging tumbling windows open at different indices (%d vs %d)", o.cur, u.cur)
-	}
-	if o.open && !u.open {
-		u.cur, u.open = o.cur, true
-	}
-	u.total += o.total
-	u.late += o.late
-	u.closed += o.closed
-	return u.inner.Merge(o.inner)
 }
 
 // tumblingState is the serialized form: the inner sketch state rides
@@ -530,7 +402,7 @@ type tumblingState struct {
 	Inner  json.RawMessage `json:"inner"`
 }
 
-// State implements TimedAccumulator.
+// State serializes the summary deterministically as JSON.
 func (u *Tumbling) State() ([]byte, error) {
 	inner, err := u.inner.State()
 	if err != nil {
@@ -542,26 +414,28 @@ func (u *Tumbling) State() ([]byte, error) {
 	})
 }
 
-// Restore implements TimedAccumulator. The receiver's factory builds
-// the inner sketch the serialized state restores into, so a Tumbling
-// must be constructed with its original factory before Restore.
+// Restore replaces the summary's state from State output; the state
+// must carry the receiver's width.
 func (u *Tumbling) Restore(data []byte) error {
 	var st tumblingState
 	if err := unmarshalState(tumblingKind, data, &st); err != nil {
 		return err
 	}
-	if !(st.Width > 0) {
-		return fmt.Errorf("stream: tumbling state has invalid width %g", st.Width)
+	if st.Width != u.width {
+		return fmt.Errorf("stream: tumbling state width %g does not match the summary's %g", st.Width, u.width)
+	}
+	if err := checkWindow(tumblingKind, st.Cur); err != nil {
+		return err
 	}
 	if st.Closed < 0 || st.Late < 0 || st.Total < 0 {
 		return fmt.Errorf("stream: tumbling state has negative counters")
 	}
-	inner := u.mk()
+	inner := NewGK(u.eps)
 	if err := inner.Restore(st.Inner); err != nil {
 		return fmt.Errorf("stream: tumbling inner: %w", err)
 	}
-	u.width, u.cur, u.open, u.closed, u.late, u.total, u.inner =
-		st.Width, st.Cur, st.Open, st.Closed, st.Late, st.Total, inner
+	u.cur, u.open, u.closed, u.late, u.total, u.inner =
+		st.Cur, st.Open, st.Closed, st.Late, st.Total, inner
 	return nil
 }
 
@@ -612,17 +486,8 @@ func NewDecayed(width, halfLife float64) *Decayed {
 	return &Decayed{width: width, halfLife: halfLife, buckets: make(map[int]float64)}
 }
 
-// Kind implements TimedAccumulator.
-func (d *Decayed) Kind() string { return decayedKind }
-
 // Count returns the exact raw observation count (undecayed).
 func (d *Decayed) Count() int64 { return d.total }
-
-// Width returns the decay-quantization window in seconds.
-func (d *Decayed) Width() float64 { return d.width }
-
-// HalfLife returns the decay half-life in seconds.
-func (d *Decayed) HalfLife() float64 { return d.halfLife }
 
 // Weight returns the decayed observation count — the effective sample
 // size of the recent past.
@@ -634,26 +499,6 @@ func (d *Decayed) Mean() float64 {
 		return 0
 	}
 	return d.mean
-}
-
-// Variance returns the decayed weighted population variance.
-func (d *Decayed) Variance() float64 {
-	w := d.weight + d.nonPos
-	if w <= 0 {
-		return 0
-	}
-	return d.m2 / w
-}
-
-// Window returns the current decay window index.
-func (d *Decayed) Window() int64 { return d.cur }
-
-func (d *Decayed) windowIndex(t float64) int64 {
-	w := t / d.width
-	if w >= math.MaxInt64/2 {
-		return math.MaxInt64 / 2
-	}
-	return int64(w)
 }
 
 // decayBy applies k window steps of decay to every retained weight.
@@ -687,14 +532,11 @@ func (d *Decayed) roll(w int64) {
 	}
 }
 
-// ObserveAt implements TimedAccumulator: weighted Welford with unit
+// ObserveAt folds value x at event time t: weighted Welford with unit
 // weight for the incoming observation.
 func (d *Decayed) ObserveAt(t, x float64) {
 	d.total++
-	if t < 0 || math.IsNaN(t) {
-		t = 0
-	}
-	w := d.windowIndex(t)
+	w := WindowIndex(t, d.width)
 	if d.open && w < d.cur {
 		d.late++
 	} else {
@@ -715,13 +557,10 @@ func (d *Decayed) ObserveAt(t, x float64) {
 	d.m2 += delta * (x - d.mean)
 }
 
-// AdvanceTo implements TimedAccumulator: decays forward to t's window
-// without recording an observation.
+// AdvanceTo decays forward to t's window without recording an
+// observation.
 func (d *Decayed) AdvanceTo(t float64) {
-	if t < 0 || math.IsNaN(t) {
-		return
-	}
-	if w := d.windowIndex(t); d.open && w > d.cur {
+	if w := WindowIndex(t, d.width); d.open && w > d.cur {
 		d.roll(w)
 	}
 }
@@ -743,84 +582,6 @@ type DecayedBucket struct {
 	Weight jsonF64 `json:"w"`
 }
 
-// Merge folds another decayed accumulator in: shapes must match; the
-// older state decays forward to the younger window, then the weighted
-// moments combine (Chan et al. with weights) and buckets add.
-func (d *Decayed) Merge(other TimedAccumulator) error {
-	o, ok := other.(*Decayed)
-	if !ok {
-		return fmt.Errorf("stream: cannot merge %q into %q", other.Kind(), decayedKind)
-	}
-	if o.width != d.width || o.halfLife != d.halfLife {
-		return fmt.Errorf("stream: merging decayed sketches with different shapes (%g/%g vs %g/%g)",
-			o.width, o.halfLife, d.width, d.halfLife)
-	}
-	// Work on copies of the other's aggregates so the source is never
-	// modified (and self-merge stays sound).
-	ow, ononPos, omean, om2, ocur := o.weight, o.nonPos, o.mean, o.m2, o.cur
-	obuckets := make(map[int]float64, len(o.buckets))
-	for e, w := range o.buckets {
-		obuckets[e] = w
-	}
-	decay := func(k int64, weight, nonPos, m2 *float64, buckets map[int]float64) {
-		if k <= 0 {
-			return
-		}
-		g := math.Exp2(-float64(k) * d.width / d.halfLife)
-		*weight *= g
-		*nonPos *= g
-		*m2 *= g
-		for e, w := range buckets {
-			w *= g
-			if w < decayedFloor {
-				delete(buckets, e)
-				continue
-			}
-			buckets[e] = w
-		}
-	}
-	switch {
-	case !o.open:
-		// Nothing to fold beyond counters.
-	case !d.open:
-		d.open, d.cur = true, ocur
-		d.weight, d.nonPos, d.mean, d.m2 = ow, ononPos, omean, om2
-		d.buckets = obuckets
-	default:
-		if ocur > d.cur {
-			d.decayBy(ocur - d.cur)
-			d.cur = ocur
-		} else if d.cur > ocur {
-			decay(d.cur-ocur, &ow, &ononPos, &om2, obuckets)
-		}
-		wa := d.weight + d.nonPos
-		wb := ow + ononPos
-		if wb > 0 {
-			if wa <= 0 {
-				d.mean, d.m2 = omean, om2
-			} else {
-				n := wa + wb
-				delta := omean - d.mean
-				d.mean += delta * wb / n
-				d.m2 += om2 + delta*delta*wa*wb/n
-			}
-		}
-		d.weight += ow
-		d.nonPos += ononPos
-		for e, w := range obuckets {
-			nw := d.buckets[e] + w
-			if nw < decayedFloor {
-				delete(d.buckets, e)
-				continue
-			}
-			d.buckets[e] = nw
-		}
-	}
-	d.total += o.total
-	d.late += o.late
-	return nil
-}
-
 // decayedState is the serialized form; float aggregates ride through
 // jsonF64 so corrupted-trace infinities still serialize, and buckets
 // are sorted so equal states are byte-identical.
@@ -838,7 +599,7 @@ type decayedState struct {
 	Buckets  []DecayedBucket `json:"buckets"`
 }
 
-// State implements TimedAccumulator.
+// State serializes the accumulator deterministically as JSON.
 func (d *Decayed) State() ([]byte, error) {
 	return marshalState(decayedKind, decayedState{
 		Width: d.width, HalfLife: d.halfLife, Cur: d.cur, Open: d.open,
@@ -847,14 +608,19 @@ func (d *Decayed) State() ([]byte, error) {
 	})
 }
 
-// Restore implements TimedAccumulator.
+// Restore replaces the accumulator's state from State output; the
+// state must carry the receiver's width and half-life.
 func (d *Decayed) Restore(data []byte) error {
 	var st decayedState
 	if err := unmarshalState(decayedKind, data, &st); err != nil {
 		return err
 	}
-	if !(st.Width > 0) || !(st.HalfLife > 0) {
-		return fmt.Errorf("stream: decayed state has invalid shape width=%g half_life=%g", st.Width, st.HalfLife)
+	if st.Width != d.width || st.HalfLife != d.halfLife {
+		return fmt.Errorf("stream: decayed state shape %g/%g does not match the accumulator's %g/%g",
+			st.Width, st.HalfLife, d.width, d.halfLife)
+	}
+	if err := checkWindow(decayedKind, st.Cur); err != nil {
+		return err
 	}
 	if st.Total < 0 || st.Late < 0 || float64(st.Weight) < 0 || float64(st.NonPos) < 0 {
 		return fmt.Errorf("stream: decayed state has negative mass")

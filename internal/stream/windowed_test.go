@@ -4,20 +4,27 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// The windowed accumulators extend the PR 7 continuation guarantees:
-// State/Restore at any cut is invisible, and canonical merge folds
-// are pure and order-insensitive.
+// The windowed accumulators extend the base continuation guarantee:
+// State/Restore at any cut is invisible.
+
+// timed is the surface the table tests drive; every windowed sketch
+// has it.
+type timed interface {
+	Count() int64
+	ObserveAt(t, x float64)
+	State() ([]byte, error)
+	Restore(data []byte) error
+}
 
 // timedKinds builds each windowed kind fresh.
-var timedKinds = map[string]func() TimedAccumulator{
-	"rollwin":          func() TimedAccumulator { return NewRollingCounter(0.5, 32) },
-	"tumbling-moments": func() TimedAccumulator { return NewTumbling(2, func() Accumulator { return NewMoments() }) },
-	"tumbling-gk":      func() TimedAccumulator { return NewTumbling(2, func() Accumulator { return NewGK(0.01) }) },
-	"tumbling-hist":    func() TimedAccumulator { return NewTumbling(2, func() Accumulator { return NewLog2Hist() }) },
-	"decayed":          func() TimedAccumulator { return NewDecayed(1, 30) },
+var timedKinds = map[string]func() timed{
+	"rollwin":  func() timed { return NewRollingCounter(0.5, 32) },
+	"tumbling": func() timed { return NewTumbling(2, 0.01) },
+	"decayed":  func() timed { return NewDecayed(1, 30) },
 }
 
 // timedObs yields (time, value) pairs with monotone times and
@@ -70,7 +77,7 @@ func TestWindowedContinuationExact(t *testing.T) {
 			}
 			for _, trail := range []struct {
 				name string
-				acc  TimedAccumulator
+				acc  timed
 			}{{"original-after-state", acc}, {"restored", restored}} {
 				for i := cut; i < len(ts); i++ {
 					trail.acc.ObserveAt(ts[i], xs[i])
@@ -87,120 +94,10 @@ func TestWindowedContinuationExact(t *testing.T) {
 	}
 }
 
-// TestWindowedMergePurity pins that Merge never mutates its argument
-// and that repeating the same canonical fold is byte-identical.
-func TestWindowedMergePurity(t *testing.T) {
-	ts, xs := timedObs(4000, 11)
-	for kind, mk := range timedKinds {
-		const shards = 4
-		build := func() []TimedAccumulator {
-			accs := make([]TimedAccumulator, shards)
-			for i := range accs {
-				accs[i] = mk()
-			}
-			for i := range ts {
-				accs[i%shards].ObserveAt(ts[i], xs[i])
-			}
-			// Align every shard to the stream end so tumbling windows
-			// agree on the open window, as the pipeline flush would.
-			end := ts[len(ts)-1]
-			for _, a := range accs {
-				a.AdvanceTo(end)
-			}
-			return accs
-		}
-		fold := func(accs []TimedAccumulator) []byte {
-			dst := mk()
-			dst.AdvanceTo(ts[len(ts)-1])
-			for _, a := range accs {
-				if err := dst.Merge(a); err != nil {
-					t.Fatalf("%s: merge: %v", kind, err)
-				}
-			}
-			state, err := dst.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			return state
-		}
-		accs := build()
-		before := make([][]byte, shards)
-		for i, a := range accs {
-			s, err := a.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			before[i] = s
-		}
-		first := fold(accs)
-		for i, a := range accs {
-			s, err := a.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			if !bytes.Equal(s, before[i]) {
-				t.Fatalf("%s: Merge mutated source shard %d", kind, i)
-			}
-		}
-		if again := fold(accs); !bytes.Equal(first, again) {
-			t.Fatalf("%s: repeated canonical fold changed bytes", kind)
-		}
-		// Rebuilding the shards from scratch must fold to the same bytes
-		// — the fold depends only on the data, not on shard history.
-		if rebuilt := fold(build()); !bytes.Equal(first, rebuilt) {
-			t.Fatalf("%s: fold over rebuilt shards changed bytes", kind)
-		}
-	}
-}
-
-// TestWindowedMergePermutationInvariance is the stronger guarantee for
-// the integer-state kinds: any merge order (not just the canonical
-// one) is byte-identical, matching WindowCounter/Log2Hist.
-func TestWindowedMergePermutationInvariance(t *testing.T) {
-	ts, xs := timedObs(5000, 19)
-	kinds := map[string]func() TimedAccumulator{
-		"rollwin":       timedKinds["rollwin"],
-		"tumbling-hist": timedKinds["tumbling-hist"],
-	}
-	perms := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}}
-	for kind, mk := range kinds {
-		accs := make([]TimedAccumulator, 4)
-		for i := range accs {
-			accs[i] = mk()
-		}
-		for i := range ts {
-			accs[i%4].ObserveAt(ts[i], xs[i])
-		}
-		end := ts[len(ts)-1]
-		for _, a := range accs {
-			a.AdvanceTo(end)
-		}
-		var first []byte
-		for _, p := range perms {
-			dst := mk()
-			dst.AdvanceTo(end)
-			for _, j := range p {
-				if err := dst.Merge(accs[j]); err != nil {
-					t.Fatalf("%s: merge: %v", kind, err)
-				}
-			}
-			state, err := dst.State()
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			if first == nil {
-				first = state
-			} else if !bytes.Equal(first, state) {
-				t.Fatalf("%s: permutation %v produced different merged state", kind, p)
-			}
-		}
-	}
-}
-
 func TestRollingCounterEviction(t *testing.T) {
 	r := NewRollingCounter(1, 4)
 	for i := 0; i < 10; i++ {
-		r.Observe(float64(i) + 0.5) // one event per window 0..9
+		r.ObserveAt(float64(i)+0.5, 0) // one event per window 0..9
 	}
 	if r.Count() != 10 {
 		t.Fatalf("count = %d, want 10", r.Count())
@@ -215,7 +112,7 @@ func TestRollingCounterEviction(t *testing.T) {
 		t.Fatalf("rate = %g, want 1", got)
 	}
 	// A stale event (older than the horizon) is counted, not binned.
-	r.Observe(0.5)
+	r.ObserveAt(0.5, 0)
 	if r.Stale() != 1 || r.Count() != 11 {
 		t.Fatalf("stale = %d count = %d, want 1/11", r.Stale(), r.Count())
 	}
@@ -237,9 +134,9 @@ func TestRollingCounterDispersionPoissonVsBursty(t *testing.T) {
 	smooth := NewRollingCounter(1, 64)
 	bursty := NewRollingCounter(1, 64)
 	for i := 0; i < 64; i++ {
-		smooth.Observe(float64(i) + 0.25)
+		smooth.ObserveAt(float64(i)+0.25, 0)
 		w := float64(i/16) * 16 // 4 bursts of 16
-		bursty.Observe(w + 0.25)
+		bursty.ObserveAt(w+0.25, 0)
 	}
 	if d := smooth.Dispersion(); d != 0 {
 		t.Fatalf("smooth dispersion = %g, want 0", d)
@@ -252,10 +149,10 @@ func TestRollingCounterDispersionPoissonVsBursty(t *testing.T) {
 func TestTumblingOnClose(t *testing.T) {
 	var closes []int64
 	var counts []int64
-	u := NewTumbling(10, func() Accumulator { return NewMoments() })
-	u.OnClose = func(w int64, inner Accumulator) {
+	u := NewTumbling(10, 0.01)
+	u.OnClose = func(w int64, g *GK) {
 		closes = append(closes, w)
-		counts = append(counts, inner.Count())
+		counts = append(counts, g.Count())
 	}
 	for i := 0; i < 35; i++ {
 		u.ObserveAt(float64(i), float64(i))
@@ -365,49 +262,38 @@ func TestWindowedAdversarialInputs(t *testing.T) {
 }
 
 func TestWindowedRestoreRejectsCorruption(t *testing.T) {
-	cases := map[string]string{
-		"rollwin-sum":     `{"kind":"rollwin","v":1,"state":{"width":1,"keep":4,"started":true,"base":0,"ring":[5],"evicted_windows":0,"evicted_events":0,"stale":0,"early":0,"total":3}}`,
-		"rollwin-shape":   `{"kind":"rollwin","v":1,"state":{"width":-1,"keep":4,"ring":[],"total":0}}`,
-		"rollwin-over":    `{"kind":"rollwin","v":1,"state":{"width":1,"keep":1,"ring":[1,2],"total":3}}`,
-		"tumbling-width":  `{"kind":"tumbling","v":1,"state":{"width":0,"inner":{"kind":"moments","v":1,"state":{"n":0,"mean":0,"m2":0,"min":"+Inf","max":"-Inf"}}}}`,
-		"decayed-weight":  `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":-1,"total":0,"buckets":[]}}`,
-		"decayed-bucket":  `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":1,"total":1,"buckets":[{"exp":0,"w":-4}]}}`,
-		"mismatched-kind": `{"kind":"moments","v":1,"state":{}}`,
+	rolling := func() timed { return NewRollingCounter(1, 2) }
+	tumbling := func() timed { return NewTumbling(1, 0.01) }
+	decayed := func() timed { return NewDecayed(1, 8) }
+	const gk = `{"kind":"gk","v":1,"state":{"eps":0.01,"n":0,"tuples":null}}`
+	cases := []struct {
+		name  string
+		mk    func() timed
+		state string
+		want  string // substring of the rejection
+	}{
+		{"rollwin-sum", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"base":0,"ring":[5],"evicted_windows":0,"evicted_events":0,"stale":0,"early":0,"total":3}}`, "sum to"},
+		{"rollwin-negative", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"ring":[-1],"total":-1}}`, "negative count"},
+		{"rollwin-shape", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":4,"ring":[],"total":0}}`, "does not match"},
+		{"rollwin-over", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"ring":[1,2,3],"total":6}}`, "holds 3 windows"},
+		{"rollwin-base-min", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"base":-9223372036854775808,"ring":[1],"total":1}}`, "outside"},
+		{"rollwin-base-far", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"base":4611686018427387904,"ring":[1],"total":1}}`, "outside"},
+		{"tumbling-width", tumbling, `{"kind":"tumbling","v":1,"state":{"width":0,"inner":` + gk + `}}`, "does not match"},
+		{"tumbling-window", tumbling, `{"kind":"tumbling","v":1,"state":{"width":1,"window":-1,"open":true,"inner":` + gk + `}}`, "outside"},
+		{"tumbling-inner", tumbling, `{"kind":"tumbling","v":1,"state":{"width":1,"inner":{"kind":"moments","v":1,"state":{}}}}`, "tumbling inner"},
+		{"decayed-shape", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":16,"total":0,"buckets":[]}}`, "does not match"},
+		{"decayed-window", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"window":-9223372036854775808,"open":true,"total":0,"buckets":[]}}`, "outside"},
+		{"decayed-weight", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":-1,"total":0,"buckets":[]}}`, "negative mass"},
+		{"decayed-bucket", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":1,"total":1,"buckets":[{"exp":0,"w":-4}]}}`, "negative weight"},
+		{"mismatched-kind", rolling, `{"kind":"moments","v":1,"state":{}}`, "want \"rollwin\""},
 	}
-	mks := map[string]func() TimedAccumulator{
-		"rollwin":    timedKinds["rollwin"],
-		"tumbling":   timedKinds["tumbling-moments"],
-		"decayed":    timedKinds["decayed"],
-		"mismatched": timedKinds["rollwin"],
-	}
-	for name, raw := range cases {
-		var mk func() TimedAccumulator
-		for prefix, f := range mks {
-			if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-				mk = f
-			}
+	for _, tc := range cases {
+		err := tc.mk().Restore([]byte(tc.state))
+		if err == nil {
+			t.Fatalf("%s: corrupted state accepted", tc.name)
 		}
-		if err := mk().Restore([]byte(raw)); err == nil {
-			t.Fatalf("%s: corrupted state accepted", name)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: rejected for the wrong reason: %v", tc.name, err)
 		}
-	}
-}
-
-func TestWindowedMergeShapeMismatch(t *testing.T) {
-	if err := NewRollingCounter(1, 4).Merge(NewRollingCounter(2, 4)); err == nil {
-		t.Fatal("rolling width mismatch accepted")
-	}
-	if err := NewRollingCounter(1, 4).Merge(NewDecayed(1, 8)); err == nil {
-		t.Fatal("cross-kind merge accepted")
-	}
-	if err := NewDecayed(1, 8).Merge(NewDecayed(1, 16)); err == nil {
-		t.Fatal("decayed half-life mismatch accepted")
-	}
-	a := NewTumbling(1, func() Accumulator { return NewMoments() })
-	b := NewTumbling(1, func() Accumulator { return NewMoments() })
-	a.ObserveAt(0.5, 1)
-	b.ObserveAt(7.5, 1)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("tumbling open-window mismatch accepted")
 	}
 }

@@ -74,14 +74,6 @@ type Header struct {
 	PipelineID string
 }
 
-// Sniff peeks at the buffered reader and classifies the trace without
-// consuming any bytes, so the appropriate scanner can be constructed
-// over the same reader.
-func Sniff(br *bufio.Reader) (Kind, error) {
-	kind, _, err := SniffHeader(br)
-	return kind, err
-}
-
 // SniffHeader classifies both the trace kind and its encoding without
 // consuming any bytes: binary is true for the WCT1/WPT1 framing, false
 // for the text formats.
