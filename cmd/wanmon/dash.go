@@ -60,7 +60,7 @@ func runDash(args []string, stdout, stderr io.Writer) error {
 	if *sloLag < 0 {
 		return cli.Usagef("-slo-lag must be >= 0, got %s", *sloLag)
 	}
-	base := normalizeBase(fs.Arg(0))
+	base := cli.BaseURL(fs.Arg(0))
 
 	poll := &http.Client{Timeout: 10 * time.Second}
 	tool, err := fetchTool(poll, base)
@@ -423,7 +423,7 @@ func runSnapshot(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 1 {
 		return cli.Usagef("usage: wanmon snapshot [-o report.json] <addr>")
 	}
-	base := normalizeBase(fs.Arg(0))
+	base := cli.BaseURL(fs.Arg(0))
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	get := func(path string) ([]byte, error) {

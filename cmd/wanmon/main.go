@@ -1,7 +1,7 @@
 // Command wanmon is the operator console for the live telemetry the
 // other tools expose with -serve (internal/monitor): it attaches to a
-// running tool, validates expositions, and gates benchmark
-// trajectories.
+// running tool, renders its pipeline dashboard, bundles snapshots and
+// validates expositions.
 //
 // Usage:
 //
@@ -16,9 +16,6 @@
 //	wanmon snapshot -o report.json :8077         offline diagnosis bundle
 //	wanmon check metrics.txt            validate an OpenMetrics file
 //	wanmon check http://127.0.0.1:8077/metrics   ...or a live endpoint
-//	wanmon bench-diff old.json new.json compare two normalized
-//	                                    BENCH_*.json snapshots
-//	wanmon bench-diff -gate 0.05 -json old.json new.json
 //
 // watch renders one line per event: job-state transitions from the
 // experiment engine (running/retry/ok/error/timeout/canceled), span
@@ -28,9 +25,7 @@
 // end the watch: it reattaches under capped exponential backoff
 // (-reconnect-wait sets the base) and gives up only after N
 // consecutive attempts that rendered no events, so a monitored tool
-// can restart under the watch. bench-diff applies the shared wantraffic-bench/v1
-// schema (internal/bench): a record must move more than the noise
-// gate (default 10%) in its worse direction to count as a regression.
+// can restart under the watch.
 //
 // dash polls GET /metrics/history every -interval and renders one
 // appended frame per poll: each pipeline stage's event-time watermark,
@@ -40,8 +35,8 @@
 // reshapes from the /events stream. With -slo-lag the dash is a
 // freshness gate: a watermark that stops advancing for longer than
 // the SLO anywhere inside the -watch window is a breach, and the dash
-// exits 3 — the same partial-success code bench-diff uses, so CI can
-// gate on pipeline liveness exactly like it gates on benchmarks.
+// exits 3, the internal/cli partial-success code, so CI can gate on
+// pipeline liveness.
 //
 // snapshot bundles /healthz, the /metrics exposition and the full
 // /metrics/history export (samples plus recent events) into one
@@ -50,8 +45,7 @@
 //
 // Exit codes follow the internal/cli contract: 0 success, 1 hard
 // failure (endpoint unreachable, invalid exposition), 2 usage error,
-// 3 partial success (bench-diff found regressions, dash found an SLO
-// breach — the CI gates).
+// 3 partial success (dash found an SLO breach — the CI gate).
 package main
 
 import (
@@ -65,7 +59,6 @@ import (
 	"strings"
 	"time"
 
-	"wantraffic/internal/bench"
 	"wantraffic/internal/cli"
 	"wantraffic/internal/monitor"
 	"wantraffic/internal/obs"
@@ -77,7 +70,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
-		return cli.Usagef("usage: wanmon <watch|dash|snapshot|check|bench-diff> [flags] ...")
+		return cli.Usagef("usage: wanmon <watch|dash|snapshot|check> [flags] ...")
 	}
 	switch args[0] {
 	case "watch":
@@ -88,24 +81,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runSnapshot(args[1:], stdout, stderr)
 	case "check":
 		return runCheck(args[1:], stdout, stderr)
-	case "bench-diff":
-		return runBenchDiff(args[1:], stdout, stderr)
 	default:
-		return cli.Usagef("unknown subcommand %q (want watch, dash, snapshot, check or bench-diff)", args[0])
+		return cli.Usagef("unknown subcommand %q (want watch, dash, snapshot or check)", args[0])
 	}
-}
-
-// normalizeBase turns an address argument into a base URL:
-// ":8077" → "http://127.0.0.1:8077", "host:port" → "http://host:port",
-// full URLs pass through with any trailing slash trimmed.
-func normalizeBase(addr string) string {
-	if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
-		return strings.TrimRight(addr, "/")
-	}
-	if strings.HasPrefix(addr, ":") {
-		addr = "127.0.0.1" + addr
-	}
-	return "http://" + addr
 }
 
 func runWatch(args []string, stdout, stderr io.Writer) error {
@@ -127,7 +105,7 @@ func runWatch(args []string, stdout, stderr io.Writer) error {
 	if *reconnectWait <= 0 {
 		return cli.Usagef("-reconnect-wait must be > 0, got %s", *reconnectWait)
 	}
-	base := normalizeBase(fs.Arg(0))
+	base := cli.BaseURL(fs.Arg(0))
 
 	client := &http.Client{}
 	if *timeout > 0 {
@@ -136,18 +114,9 @@ func runWatch(args []string, stdout, stderr io.Writer) error {
 
 	// /healthz first: fail fast with a clear message when nothing is
 	// serving, and learn the tool name for the banner.
-	tool := "unknown"
-	if resp, err := client.Get(base + "/healthz"); err != nil {
+	tool, err := fetchTool(client, base)
+	if err != nil {
 		return fmt.Errorf("no monitor at %s (is the tool running with -serve?): %w", base, err)
-	} else {
-		var hz struct {
-			Tool string `json:"tool"`
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if json.Unmarshal(raw, &hz) == nil && hz.Tool != "" {
-			tool = hz.Tool
-		}
 	}
 	fmt.Fprintf(stdout, "watching %s (%s)\n", base, tool)
 
@@ -390,43 +359,5 @@ func runCheck(args []string, stdout, stderr io.Writer) error {
 	}
 	fams := monitor.FamilyNames(data)
 	fmt.Fprintf(stdout, "%s: valid OpenMetrics, %d metric families\n", src, len(fams))
-	return nil
-}
-
-func runBenchDiff(args []string, stdout, stderr io.Writer) error {
-	fs := cli.NewFlagSet("wanmon bench-diff", stderr)
-	gate := fs.Float64("gate", bench.DefaultGate,
-		"noise gate as a fraction: a record must move more than this in its worse direction to regress")
-	jsonOut := fs.Bool("json", false, "emit the diff as JSON")
-	if err := cli.ParseFlags(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return cli.Usagef("usage: wanmon bench-diff [flags] <old.json> <new.json>")
-	}
-	if *gate <= 0 || *gate >= 1 {
-		return cli.Usagef("-gate must be in (0, 1), got %g", *gate)
-	}
-	old, err := bench.Load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	cur, err := bench.Load(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	d := bench.Compare(old, cur, *gate)
-	if *jsonOut {
-		raw, err := d.JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s\n", raw)
-	} else {
-		fmt.Fprint(stdout, d.Text())
-	}
-	if d.Regressions > 0 {
-		return cli.Partialf("%d benchmark regression(s) beyond the %.0f%% gate", d.Regressions, *gate*100)
-	}
 	return nil
 }

@@ -3,14 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"wantraffic/internal/bench"
 	"wantraffic/internal/cli"
 	"wantraffic/internal/monitor"
 	"wantraffic/internal/obs"
@@ -29,27 +27,12 @@ func TestUsageErrors(t *testing.T) {
 		{"frobnicate"},
 		{"watch"},
 		{"check"},
-		{"bench-diff", "only-one.json"},
-		{"bench-diff", "-gate", "1.5", "a.json", "b.json"},
 		{"watch", "-reconnect", "-1", ":1"},
 		{"watch", "-reconnect-wait", "0s", ":1"},
 	}
 	for _, args := range cases {
 		if code, _, _ := runTool(t, args...); code != 2 {
 			t.Errorf("wanmon %v: exit %d, want 2", args, code)
-		}
-	}
-}
-
-func TestNormalizeBase(t *testing.T) {
-	cases := map[string]string{
-		":8077":                  "http://127.0.0.1:8077",
-		"127.0.0.1:8077":         "http://127.0.0.1:8077",
-		"http://example.com:80/": "http://example.com:80",
-	}
-	for in, want := range cases {
-		if got := normalizeBase(in); got != want {
-			t.Errorf("normalizeBase(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -289,76 +272,5 @@ func TestCheckFileAndURL(t *testing.T) {
 	defer srv.Close()
 	if code, _, _ := runTool(t, "check", srv.URL()+"/metrics"); code != 0 {
 		t.Errorf("check live endpoint: exit %d, want 0", code)
-	}
-}
-
-func writeBench(t *testing.T, dir, name string, records ...bench.Record) string {
-	t.Helper()
-	f := bench.File{Schema: bench.Schema, Suite: "test", Date: "2026-08-06", Records: records}
-	raw, _ := json.Marshal(f)
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestBenchDiffRegressionGate is the ISSUE acceptance criterion: a
-// synthetic 20% regression exits 3; an in-gate drift exits 0.
-func TestBenchDiffRegressionGate(t *testing.T) {
-	dir := t.TempDir()
-	old := writeBench(t, dir, "old.json",
-		bench.Record{Name: "obs.counter_add", Unit: "ns/op", Value: 10})
-	slower := writeBench(t, dir, "slower.json",
-		bench.Record{Name: "obs.counter_add", Unit: "ns/op", Value: 12}) // +20%
-	steady := writeBench(t, dir, "steady.json",
-		bench.Record{Name: "obs.counter_add", Unit: "ns/op", Value: 10.5}) // +5%
-
-	code, out, _ := runTool(t, "bench-diff", old, slower)
-	if code != 3 {
-		t.Errorf("20%% regression: exit %d, want 3\n%s", code, out)
-	}
-	if !strings.Contains(out, "regression") {
-		t.Errorf("diff table missing regression row:\n%s", out)
-	}
-
-	if code, _, _ := runTool(t, "bench-diff", old, steady); code != 0 {
-		t.Errorf("5%% drift: exit %d, want 0", code)
-	}
-	// A wider gate forgives the 20% move.
-	if code, _, _ := runTool(t, "bench-diff", "-gate", "0.5", old, slower); code != 0 {
-		t.Errorf("20%% under 50%% gate: exit %d, want 0", code)
-	}
-}
-
-func TestBenchDiffJSON(t *testing.T) {
-	dir := t.TempDir()
-	old := writeBench(t, dir, "o.json", bench.Record{Name: "m", Unit: "ns/op", Value: 100})
-	cur := writeBench(t, dir, "n.json", bench.Record{Name: "m", Unit: "ns/op", Value: 150})
-	code, out, _ := runTool(t, "bench-diff", "-json", old, cur)
-	if code != 3 {
-		t.Fatalf("exit %d, want 3", code)
-	}
-	var d bench.Diff
-	if err := json.Unmarshal([]byte(out), &d); err != nil {
-		t.Fatalf("-json output not JSON: %v\n%s", err, out)
-	}
-	if d.Regressions != 1 || d.Rows[0].DeltaPct != 50 {
-		t.Errorf("diff = %+v", d)
-	}
-}
-
-// TestBenchDiffCommittedTrajectory is the CI smoke contract: the
-// repo's committed BENCH files self-diff to exit 0.
-func TestBenchDiffCommittedTrajectory(t *testing.T) {
-	for _, name := range []string{"BENCH_obs.json", "BENCH_stream.json", "BENCH_mon.json", "BENCH_observe.json"} {
-		path := filepath.Join("..", "..", name)
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			t.Logf("skipping %s (not committed yet)", name)
-			continue
-		}
-		if code, _, stderr := runTool(t, "bench-diff", path, path); code != 0 {
-			t.Errorf("self-diff of %s: exit %d, stderr %s", name, code, stderr)
-		}
 	}
 }

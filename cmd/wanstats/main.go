@@ -44,7 +44,6 @@ import (
 	"wantraffic/internal/poisson"
 	"wantraffic/internal/selfsim"
 	"wantraffic/internal/stats"
-	"wantraffic/internal/stream"
 	"wantraffic/internal/trace"
 )
 
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	bin := fs.Float64("bin", 0.01, "count-process bin width (s) for packet traces")
 	verbose := fs.Bool("v", false, "show per-interval Poisson test outcomes")
 	lenient := fs.Bool("lenient", false, "skip malformed records (with accounting) instead of aborting")
-	streamMode := fs.Bool("stream", false, "one-pass bounded-memory summary via the sharded streaming pipeline")
 	maxLine := fs.Int("max-line-bytes", trace.DefaultMaxLineBytes, "hard limit on a single trace line")
 	maxRecords := fs.Int("max-records", trace.DefaultMaxRecords, "hard limit on decoded records")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report (decode accounting + analysis text)")
@@ -97,9 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	ctx := obs.WithTracer(context.Background(), sess.Tracer)
-	if *streamMode {
-		return runStream(ctx, fs.Arg(0), br, opts, *bin, *jsonOut, sess, stdout)
-	}
 	_, dspan := obs.StartSpan(ctx, "decode")
 	dec, err := decode(br, string(magic), opts, *interval, *bin, *verbose)
 	if err != nil {
@@ -151,80 +146,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // jsonReport is the -json output schema: identification, decode
-// accounting (trace.DecodeStats verbatim) and the analysis text. In
-// -stream mode it additionally carries the structured streaming
-// summary block.
+// accounting (trace.DecodeStats verbatim) and the analysis text.
 type jsonReport struct {
 	File     string            `json:"file"`
 	Kind     string            `json:"kind"` // "conn" or "packet"
 	Records  int               `json:"records"`
 	HorizonS float64           `json:"horizon_s"`
 	Decode   trace.DecodeStats `json:"decode_stats"`
-	Stream   *stream.Summary   `json:"stream,omitempty"`
 	Analysis string            `json:"analysis"`
-}
-
-// runStream is the -stream path: instead of materializing the trace
-// for the full batch methodology, it runs the sharded one-pass
-// pipeline and reports the streaming digest — the right tool when the
-// trace is larger than memory.
-func runStream(ctx context.Context, path string, br *bufio.Reader,
-	opts trace.DecodeOptions, bin float64, jsonOut bool,
-	sess *cli.ObsSession, stdout io.Writer) error {
-	res, err := stream.Ingest(ctx, br, opts,
-		stream.PipelineOptions{Metrics: sess.Metrics,
-			Config: stream.Config{AggBinWidth: bin}})
-	if err != nil {
-		return err
-	}
-	sum := res.Sketch.Summarize()
-	out := io.Writer(stdout)
-	var buf bytes.Buffer
-	if jsonOut {
-		out = &buf
-	} else {
-		reportDecode(stdout, opts.Lenient, res.Stats)
-	}
-	streamReport(out, res, sum)
-	if jsonOut {
-		raw, err := json.MarshalIndent(jsonReport{
-			File:     path,
-			Kind:     sum.TraceKind,
-			Records:  int(sum.Records),
-			HorizonS: res.Header.Horizon,
-			Decode:   res.Stats,
-			Stream:   &sum,
-			Analysis: buf.String(),
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s\n", raw)
-	}
-	if err := sess.Close(); err != nil {
-		return err
-	}
-	if res.Stats.RecordsSkipped > 0 {
-		return cli.Partialf("summary complete, but %d malformed record(s) were skipped", res.Stats.RecordsSkipped)
-	}
-	return nil
-}
-
-// streamReport prints the one-pass digest.
-func streamReport(w io.Writer, res *stream.Result, sum stream.Summary) {
-	fmt.Fprintf(w, "%s trace %q: %d records over %.2f h (streamed, %d shards)\n\n",
-		sum.TraceKind, res.Header.Name, sum.Records, res.Header.Horizon/3600, res.Shards)
-	for _, name := range res.Sketch.DimNames() {
-		d := sum.Dims[name]
-		fmt.Fprintf(w, "  %-9s n=%d  mean %.4g  sd %.4g  p50 %.4g  p90 %.4g  p99 %.4g\n",
-			name, d.Count, d.Mean, d.StdDev, d.P50, d.P90, d.P99)
-	}
-	fmt.Fprintf(w, "\n  arrivals %.4g /s, dispersion %.3g (Poisson: 1), lag-1 %.3f\n",
-		sum.Rate, sum.Dispersion, sum.Lag1)
-	if sum.VTSlope != 0 {
-		fmt.Fprintf(w, "  variance-time slope %.2f (Poisson: -1.00) -> H_vt = %.2f\n",
-			sum.VTSlope, sum.HurstVT)
-	}
 }
 
 // decoded is a successfully ingested trace plus its deferred analysis.

@@ -200,51 +200,9 @@ func TestObsOutputsWritten(t *testing.T) {
 	}
 }
 
-// TestStreamMode pins the -stream satellite: the one-pass path
-// produces a summary (text and JSON) with the same exit-code contract
-// as the batch path.
-func TestStreamMode(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-stream", goodTrace(t)}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bytes", "arrivals"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("stream summary missing %q:\n%s", want, out.String())
-		}
-	}
-
-	out.Reset()
-	err := run([]string{"-stream", "-lenient", "-json", damagedTrace(t)}, &out, &errw)
-	if got := cli.ExitCode(err); got != cli.ExitPartial {
-		t.Fatalf("stream lenient damaged trace: exit %d, want %d (err: %v)", got, cli.ExitPartial, err)
-	}
-	var rep struct {
-		Kind   string `json:"kind"`
-		Decode struct {
-			RecordsSkipped int `json:"records_skipped"`
-		} `json:"decode_stats"`
-		Stream *struct {
-			Records int64 `json:"records"`
-		} `json:"stream"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("-stream -json output invalid: %v\n%s", err, out.String())
-	}
-	if rep.Kind != "conn" || rep.Stream == nil || rep.Stream.Records != 2 || rep.Decode.RecordsSkipped != 1 {
-		t.Errorf("stream report = %+v, want conn, 2 streamed records, 1 skip", rep)
-	}
-
-	// Strict mode still aborts on damage.
-	err = run([]string{"-stream", damagedTrace(t)}, &out, &errw)
-	if got := cli.ExitCode(err); got != cli.ExitFailure {
-		t.Fatalf("stream strict damaged trace: exit %d, want %d (err: %v)", got, cli.ExitFailure, err)
-	}
-}
-
 // TestBinaryTraceBothModes: the binary encoding must flow through
-// both the batch methodology and the -stream pipeline, producing the
-// same analysis as the text encoding of the same records.
+// the batch methodology and produce the same analysis as the text
+// encoding of the same records.
 func TestBinaryTraceBothModes(t *testing.T) {
 	tr := &trace.ConnTrace{Name: "bin-both", Horizon: 3600}
 	for i := 0; i < 300; i++ {
@@ -270,17 +228,15 @@ func TestBinaryTraceBothModes(t *testing.T) {
 	if err := os.WriteFile(binPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range [][]string{nil, {"-stream"}} {
-		var textOut, binOut, errw bytes.Buffer
-		if err := run(append(append([]string{}, mode...), textPath), &textOut, &errw); err != nil {
-			t.Fatalf("mode %v text: %v", mode, err)
-		}
-		if err := run(append(append([]string{}, mode...), binPath), &binOut, &errw); err != nil {
-			t.Fatalf("mode %v binary: %v", mode, err)
-		}
-		if textOut.String() != binOut.String() {
-			t.Errorf("mode %v: binary analysis diverges from text:\n--- text\n%s--- binary\n%s",
-				mode, textOut.String(), binOut.String())
-		}
+	var textOut, binOut, errw bytes.Buffer
+	if err := run([]string{textPath}, &textOut, &errw); err != nil {
+		t.Fatalf("text: %v", err)
+	}
+	if err := run([]string{binPath}, &binOut, &errw); err != nil {
+		t.Fatalf("binary: %v", err)
+	}
+	if textOut.String() != binOut.String() {
+		t.Errorf("binary analysis diverges from text:\n--- text\n%s--- binary\n%s",
+			textOut.String(), binOut.String())
 	}
 }

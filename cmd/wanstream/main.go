@@ -365,7 +365,7 @@ func runWorker(ctx context.Context, args []string, wf workerFlags, sess *cli.Obs
 		UploadEvery: wf.uploadEvery, Checkpoint: wf.checkpoint, Resume: wf.resume,
 		IngestDelay: wf.ingestDelay,
 		Client: &coord.Client{
-			Base: normalizeBase(wf.coordURL), Token: wf.token,
+			Base: cli.BaseURL(wf.coordURL), Token: wf.token,
 			Retries: wf.retries, Backoff: wf.backoff, Timeout: wf.timeout,
 			Seed:   uint64(wf.seed) + uint64(wf.shard),
 			Logger: sess.Logger, Metrics: sess.Metrics,
@@ -514,19 +514,6 @@ func openInput(path string) (io.ReadCloser, error) {
 		return io.NopCloser(os.Stdin), nil
 	}
 	return os.Open(path)
-}
-
-// normalizeBase turns an address argument into a base URL (":8087" →
-// "http://127.0.0.1:8087"; full URLs pass through, trailing slash
-// trimmed) — the wanmon address convention.
-func normalizeBase(addr string) string {
-	if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
-		return strings.TrimRight(addr, "/")
-	}
-	if strings.HasPrefix(addr, ":") {
-		addr = "127.0.0.1" + addr
-	}
-	return "http://" + addr
 }
 
 // streamReport is the -json output schema.

@@ -1,27 +1,23 @@
-// Package bench defines the repo's normalized benchmark-record schema
-// (the BENCH_*.json trajectory) and the regression diff wanmon
-// bench-diff runs over it.
-//
-// Earlier PRs recorded ad-hoc JSON shapes per subsystem; this schema
-// normalizes them onto flat records so the whole trajectory is
-// machine-comparable:
+// Package bench defines the normalized benchmark-record schema that
+// cmd/wanbench writes and reads back for its comparisons: flat,
+// named records so two runs are machine-comparable:
 //
 //	{
 //	  "schema": "wantraffic-bench/v1",
-//	  "suite": "obs",
-//	  "date": "2026-08-06",
-//	  "environment": {"goos": "linux", "cpu": "..."},
+//	  "suite": "wanbench",
+//	  "date": "2026-10-16",
+//	  "environment": {"goos": "linux", "nproc": "2"},
 //	  "notes": "free text",
 //	  "records": [
-//	    {"name": "obs.counter_add", "unit": "ns/op", "value": 7.97,
+//	    {"name": "live_sketch.latency_ms", "unit": "ms", "value": 51.2,
 //	     "better": "lower", "note": "..."}
 //	  ]
 //	}
 //
 // "better" declares the improvement direction: "lower" (the default —
 // latencies, bytes, overhead percentages), "higher" (throughput), or
-// "none" for informational records a diff must never gate on (span
-// counts, configuration echoes).
+// "none" for informational records a comparison must never gate on
+// (span counts, configuration echoes).
 package bench
 
 import (
@@ -29,12 +25,9 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
-	"strings"
-	"text/tabwriter"
 )
 
-// Schema is the version tag every normalized BENCH file carries.
+// Schema is the version tag every normalized benchmark file carries.
 const Schema = "wantraffic-bench/v1"
 
 // Improvement directions for Record.Better.
@@ -104,137 +97,4 @@ func Load(path string) (*File, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, nil
-}
-
-// Verdicts of one diffed record.
-const (
-	VerdictOK          = "ok"
-	VerdictRegression  = "regression"
-	VerdictImprovement = "improvement"
-	VerdictInfo        = "info" // better: none — never gated
-)
-
-// Row is one record present in both files.
-type Row struct {
-	Name     string  `json:"name"`
-	Unit     string  `json:"unit"`
-	Old      float64 `json:"old"`
-	New      float64 `json:"new"`
-	DeltaPct float64 `json:"delta_pct"` // (new-old)/old*100; 0 when old == 0
-	Verdict  string  `json:"verdict"`
-}
-
-// Diff compares the records common to two snapshots.
-type Diff struct {
-	Gate        float64  `json:"gate"` // noise gate as a fraction (0.10 = 10%)
-	Rows        []Row    `json:"rows"`
-	Added       []string `json:"added,omitempty"`   // only in new
-	Removed     []string `json:"removed,omitempty"` // only in old
-	Regressions int      `json:"regressions"`
-}
-
-// DefaultGate is the noise gate bench-diff applies when none is
-// given: a metric must move more than 10% in the worse direction to
-// count as a regression. Measured micro-benchmark noise on the dev
-// container is well under that; a real 20% regression clears it.
-const DefaultGate = 0.10
-
-// Compare diffs two snapshots record-by-record. gate <= 0 selects
-// DefaultGate. Only records present in both files are gated; added
-// and removed names are reported but never fail a diff (the
-// trajectory grows a suite per PR by design).
-func Compare(old, new *File, gate float64) *Diff {
-	if gate <= 0 {
-		gate = DefaultGate
-	}
-	d := &Diff{Gate: gate}
-	oldBy := make(map[string]Record, len(old.Records))
-	for _, r := range old.Records {
-		oldBy[r.Name] = r
-	}
-	newBy := make(map[string]Record, len(new.Records))
-	for _, r := range new.Records {
-		newBy[r.Name] = r
-	}
-	for _, r := range old.Records {
-		if _, ok := newBy[r.Name]; !ok {
-			d.Removed = append(d.Removed, r.Name)
-		}
-	}
-	for _, nr := range new.Records {
-		or, ok := oldBy[nr.Name]
-		if !ok {
-			d.Added = append(d.Added, nr.Name)
-			continue
-		}
-		row := Row{Name: nr.Name, Unit: nr.Unit, Old: or.Value, New: nr.Value}
-		if or.Value != 0 {
-			row.DeltaPct = (nr.Value - or.Value) / math.Abs(or.Value) * 100
-		}
-		row.Verdict = verdict(or, nr, gate)
-		if row.Verdict == VerdictRegression {
-			d.Regressions++
-		}
-		d.Rows = append(d.Rows, row)
-	}
-	sort.Slice(d.Rows, func(i, j int) bool { return d.Rows[i].Name < d.Rows[j].Name })
-	sort.Strings(d.Added)
-	sort.Strings(d.Removed)
-	return d
-}
-
-// verdict classifies one record pair. The new file's direction wins
-// when the two disagree (a record's meaning is defined by its
-// current suite).
-func verdict(old, new Record, gate float64) string {
-	better := new.Better
-	if better == "" {
-		better = BetterLower
-	}
-	if better == BetterNone {
-		return VerdictInfo
-	}
-	if old.Value == 0 {
-		// No baseline magnitude to gate against; report, never gate.
-		return VerdictInfo
-	}
-	rel := (new.Value - old.Value) / math.Abs(old.Value)
-	worse, improved := rel > gate, rel < -gate
-	if better == BetterHigher {
-		worse, improved = rel < -gate, rel > gate
-	}
-	switch {
-	case worse:
-		return VerdictRegression
-	case improved:
-		return VerdictImprovement
-	default:
-		return VerdictOK
-	}
-}
-
-// JSON renders the diff as indented JSON.
-func (d *Diff) JSON() ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
-}
-
-// Text renders the diff as an aligned table plus a summary line.
-func (d *Diff) Text() string {
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "NAME\tUNIT\tOLD\tNEW\tDELTA\tVERDICT")
-	for _, r := range d.Rows {
-		fmt.Fprintf(w, "%s\t%s\t%.4g\t%.4g\t%+.1f%%\t%s\n",
-			r.Name, r.Unit, r.Old, r.New, r.DeltaPct, r.Verdict)
-	}
-	w.Flush()
-	for _, n := range d.Added {
-		fmt.Fprintf(&b, "added:   %s\n", n)
-	}
-	for _, n := range d.Removed {
-		fmt.Fprintf(&b, "removed: %s\n", n)
-	}
-	fmt.Fprintf(&b, "%d record(s) compared, %d regression(s) beyond the %.0f%% gate\n",
-		len(d.Rows), d.Regressions, d.Gate*100)
-	return b.String()
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // Exit codes of the cmd/ tools.
@@ -122,4 +123,18 @@ func FirstErr(errs ...error) error {
 		}
 	}
 	return nil
+}
+
+// BaseURL turns an address argument into a base URL, the address
+// convention of the tools that talk to a monitor or coordinator:
+// ":8077" → "http://127.0.0.1:8077", "host:port" → "http://host:port",
+// full URLs pass through with any trailing slash trimmed.
+func BaseURL(addr string) string {
+	if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
+		return strings.TrimRight(addr, "/")
+	}
+	if strings.HasPrefix(addr, ":") {
+		addr = "127.0.0.1" + addr
+	}
+	return "http://" + addr
 }

@@ -86,3 +86,16 @@ func TestValidators(t *testing.T) {
 		t.Error("FirstErr with no errors must return nil")
 	}
 }
+
+func TestBaseURL(t *testing.T) {
+	cases := map[string]string{
+		":8077":                  "http://127.0.0.1:8077",
+		"127.0.0.1:8077":         "http://127.0.0.1:8077",
+		"http://example.com:80/": "http://example.com:80",
+	}
+	for in, want := range cases {
+		if got := BaseURL(in); got != want {
+			t.Errorf("BaseURL(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

@@ -85,6 +85,75 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
+// seedSketches builds conn and packet sketch states of 0 and 20
+// observations for the composite corpus. They stay small on purpose:
+// states of a few hundred records (tens of KB) stall the fuzzer's
+// minimizer for up to a minute at a time.
+func seedSketches(t interface{ Fatal(...any) }) [][]byte {
+	var out [][]byte
+	for _, kind := range []string{ConnSketch, PacketSketch} {
+		for _, n := range []int{0, 20} {
+			sk, err := NewSketch(kind, 1, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				sk.Observe(Obs{Time: float64(i) * 0.7, Value: float64(40 + 37*i%500),
+					Duration: float64(i % 5), Gap: 0.7, HasGap: i > 0})
+			}
+			state, err := sk.State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, state)
+		}
+	}
+	return out
+}
+
+// FuzzRestoreSketch fuzzes the composite sketch parser that every
+// /v1/upload body, coordinator snapshot entry and worker checkpoint
+// goes through. Arbitrary bytes must never panic RestoreSketch; bytes
+// it accepts must re-serialize canonically (RestoreSketch, State,
+// RestoreSketch, State reproduces the first State byte-for-byte); and
+// Summarize and MergeSketches must not panic on what it accepted.
+func FuzzRestoreSketch(f *testing.F) {
+	for _, s := range seedSketches(f) {
+		f.Add(s)
+	}
+	f.Add([]byte(`{"trace_kind":"conn","shard":0,"records":-1}`))
+	f.Add([]byte(`{"trace_kind":"packet","records":3,"dims":{}}`))
+	f.Add([]byte(`{"trace_kind":"radio"}`))
+	f.Add([]byte(`not json at all`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sk, err := RestoreSketch(data)
+		if err != nil {
+			return // rejected, as long as it didn't panic
+		}
+		s1, err := sk.State()
+		if err != nil {
+			t.Fatalf("restored sketch does not re-serialize: %v", err)
+		}
+		back, err := RestoreSketch(s1)
+		if err != nil {
+			t.Fatalf("canonical state rejected: %v", err)
+		}
+		s2, err := back.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s1, s2) {
+			t.Fatalf("sketch state round-trip not byte-identical:\n%s\n%s", s1, s2)
+		}
+		sk.Summarize()
+		back.Summarize()
+		// A merge may refuse what the restore accepted; it must not panic.
+		if merged, err := MergeSketches([]*Sketch{sk, back}); err == nil {
+			merged.Summarize()
+		}
+	})
+}
+
 // fuzzFill folds n deterministic observations into acc. Values stay
 // non-negative so every kind (window counters reject nothing, but
 // their "early" bucket semantics differ) exercises its main path, with

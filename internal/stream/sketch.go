@@ -475,7 +475,7 @@ type DimSummary struct {
 }
 
 // Summary is the JSON-friendly digest of a whole sketch, the block
-// wanstream prints and wanstats -json embeds.
+// wanstream prints.
 type Summary struct {
 	TraceKind  string                `json:"trace_kind"`
 	Records    int64                 `json:"records"`

@@ -11,11 +11,11 @@ import (
 // friends) materialize the whole trace before returning, which caps
 // analyses at available memory. The scanners below pull one record at
 // a time instead, so a streaming consumer (internal/stream,
-// cmd/wanstream, wanstats -stream) ingests traces of any length in
-// bounded memory. The batch readers are one generic loop (readAll)
-// over these scanners, so both paths share one decode implementation — the same
-// strict/lenient semantics, resource limits and DecodeStats
-// accounting documented in decode.go.
+// cmd/wanstream) ingests traces of any length in bounded memory. The
+// batch readers are one generic loop (readAll) over these scanners, so
+// both paths share one decode implementation — the same strict/lenient
+// semantics, resource limits and DecodeStats accounting documented in
+// decode.go.
 //
 // Usage:
 //
