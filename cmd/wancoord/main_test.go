@@ -296,8 +296,8 @@ func TestServeWaitElapsesPartial(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout.String()), &res); err != nil {
 		t.Fatalf("results JSON: %v\n%s", err, stdout.String())
 	}
-	if res.Status != coord.ResultPartial || res.Reporting != 1 {
-		t.Errorf("status %s, reporting %d; want partial/1", res.Status, res.Reporting)
+	if res.Status != coord.ResultPartial || res.Reporting != 1 || res.Expected != 2 {
+		t.Errorf("status %s, %d of %d workers reporting; want partial, 1 of 2", res.Status, res.Reporting, res.Expected)
 	}
 	if res.Records != 150 {
 		t.Errorf("partial records %d, want the arrived worker's 150", res.Records)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -115,30 +116,74 @@ func BenchmarkDistWorkers(b *testing.B) {
 }
 
 // BenchmarkApplyUpload isolates the coordinator's accept path: digest
-// verification, sketch restore, stamp bookkeeping (no HTTP).
+// verification, sketch restore, stamp bookkeeping (no HTTP). Two
+// uploads: a 10⁴-record shard with 1.5 s mean gaps (about 15 000 s of
+// window counts), and one at live_fleet's shape, 2¹⁹ records over
+// 720 s, whose reservoirs have drawn for most of their observations.
 func BenchmarkApplyUpload(b *testing.B) {
-	tr := testTrace(10_000)
-	sk := shardSketch(b, tr, 0, stream.Config{Seed: 1})
-	state, err := sk.State()
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		sk   func() *stream.Sketch
+	}{
+		{"10k", func() *stream.Sketch { return shardSketch(b, testTrace(10_000), 0, stream.Config{Seed: 1}) }},
+		{"fleet", func() *stream.Sketch { return fleetShard(b) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sk := bc.sk()
+			state, err := sk.State()
+			if err != nil {
+				b.Fatal(err)
+			}
+			u := Upload{
+				Proto: Proto, Worker: "w0", Shard: 0, Records: sk.Records(),
+				Digest: Digest(state), State: state,
+			}
+			c, err := New(Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(state)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u.Epoch, u.Seq = 1, int64(i+1)
+				if _, err := c.Apply(u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	u := Upload{
-		Proto: Proto, Worker: "w0", Shard: 0, Records: sk.Records(),
-		Digest: Digest(state), State: state,
-	}
-	c, err := New(Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(state)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Epoch, u.Seq = 1, int64(i+1)
-		if _, err := c.Apply(u); err != nil {
-			b.Fatal(err)
+}
+
+// fleetShard is one live_fleet worker's sketch: 2¹⁹ connections over
+// 720 trace seconds.
+func fleetShard(b *testing.B) *stream.Sketch {
+	const n = 1 << 19
+	rng := rand.New(rand.NewSource(19))
+	conns := make([]trace.Conn, n)
+	t := 0.0
+	for i := range conns {
+		t += rng.ExpFloat64() * 720 / n
+		conns[i] = trace.Conn{
+			Start: t, Duration: rng.ExpFloat64() * 30,
+			Proto: trace.Protocol(i % 9), BytesOrig: rng.Int63n(1 << 16), BytesResp: rng.Int63n(1 << 20),
 		}
 	}
+	sk, err := stream.NewSketch(stream.ConnSketch, 0, stream.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := make([]stream.Obs, 0, stream.DefaultChunkSize)
+	for i, c := range conns {
+		o := stream.Obs{Time: c.Start, Value: float64(c.Bytes()), Duration: c.Duration, Proto: c.Proto}
+		if i > 0 {
+			o.Gap, o.HasGap = c.Start-conns[i-1].Start, true
+		}
+		if obs = append(obs, o); len(obs) == cap(obs) || i == n-1 {
+			sk.ObserveBatch(obs)
+			obs = obs[:0]
+		}
+	}
+	return sk
 }
 
 // BenchmarkMergedResults isolates the canonical merge + summarize of

@@ -118,48 +118,59 @@ func (a *AggVar) Merge(other Accumulator) error {
 	return a.counts.Merge(o.counts)
 }
 
-// aggVarState is the serialized form: the window state nested under
-// the pinned horizon.
-type aggVarState struct {
-	Horizon float64 `json:"horizon"`
-	Width   float64 `json:"width"`
-	Early   int64   `json:"early"`
-	Late    int64   `json:"late"`
-	Total   int64   `json:"total"`
-	Counts  []int64 `json:"counts"`
+func (a *AggVar) clone() *AggVar { return &AggVar{counts: a.counts.clone(), horizon: a.horizon} }
+
+var aggVarKeys = []string{"horizon", "width", "early", "late", "total", "counts"}
+
+// write appends the state: the window state's fields under the pinned
+// horizon.
+func (a *AggVar) write(w *stateWriter) {
+	c := a.counts
+	w.envelope(aggVarKind)
+	w.num("horizon", a.horizon)
+	w.num("width", c.width)
+	w.int("early", c.early)
+	w.int("late", c.late)
+	w.int("total", c.total)
+	w.ints("counts", c.counts)
+	w.closeEnvelope()
+}
+
+func readAggVar(r *stateReader) *AggVar {
+	a := &AggVar{counts: &WindowCounter{}}
+	c := a.counts
+	r.envelope(aggVarKind, aggVarKeys, func(key string) {
+		switch key {
+		case "horizon":
+			a.horizon = r.num()
+		case "width":
+			c.width = r.num()
+		case "early":
+			c.early = r.int()
+		case "late":
+			c.late = r.int()
+		case "total":
+			c.total = r.int()
+		case "counts":
+			c.counts = r.ints()
+		}
+	})
+	if r.err != nil {
+		return nil
+	}
+	if !(c.width > 0) || a.horizon < 0 {
+		r.failf("stream: aggvar state has invalid width %g or horizon %g", c.width, a.horizon)
+		return nil
+	}
+	if err := c.checkCounts(aggVarKind, "bins"); err != nil {
+		r.fail(err)
+		return nil
+	}
+	return a
 }
 
 // State implements Accumulator.
-func (a *AggVar) State() ([]byte, error) {
-	w := a.counts
-	return marshalState(aggVarKind, aggVarState{
-		Horizon: a.horizon, Width: w.width, Early: w.early, Late: w.late, Total: w.total, Counts: w.counts,
-	})
-}
+func (a *AggVar) State() ([]byte, error) { return encode(a.write) }
 
 // Restore implements Accumulator.
-func (a *AggVar) Restore(data []byte) error {
-	var st aggVarState
-	if err := unmarshalState(aggVarKind, data, &st); err != nil {
-		return err
-	}
-	if !(st.Width > 0) || st.Horizon < 0 {
-		return fmt.Errorf("stream: aggvar state has invalid width %g or horizon %g", st.Width, st.Horizon)
-	}
-	if len(st.Counts) > MaxWindows {
-		return fmt.Errorf("stream: aggvar state spans %d bins (limit %d)", len(st.Counts), MaxWindows)
-	}
-	var binned int64
-	for _, c := range st.Counts {
-		if c < 0 {
-			return fmt.Errorf("stream: aggvar state has negative count")
-		}
-		binned += c
-	}
-	if st.Early < 0 || st.Late < 0 || binned+st.Early+st.Late != st.Total {
-		return fmt.Errorf("stream: aggvar counts sum to %d but total is %d", binned+st.Early+st.Late, st.Total)
-	}
-	a.horizon = st.Horizon
-	a.counts = &WindowCounter{width: st.Width, counts: st.Counts, early: st.Early, late: st.Late, total: st.Total}
-	return nil
-}
+func (a *AggVar) Restore(data []byte) error { return restoreInto(a, data, readAggVar) }

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -41,13 +42,12 @@ type GK struct {
 	scratch []gkTuple
 }
 
-// gkTuple is one summary entry: value v covering g ranks, with rank
-// uncertainty delta. V is jsonF64 so a sketch fed Inf/NaN from a
-// corrupted trace still serializes.
+// gkTuple is one summary entry: value V covering G ranks, with rank
+// uncertainty Delta. V may be ±Inf or NaN from a corrupted trace.
 type gkTuple struct {
-	V     jsonF64 `json:"v"`
-	G     int64   `json:"g"`
-	Delta int64   `json:"d"`
+	V     float64
+	G     int64
+	Delta int64
 }
 
 // NewGK returns an empty summary with rank-error bound eps
@@ -120,7 +120,7 @@ func (g *GK) flush() {
 	maxDelta := int64(2 * g.eps * float64(g.n+int64(len(g.buf))))
 	i, j := 0, 0
 	for i < len(g.tuples) || j < len(g.buf) {
-		if j >= len(g.buf) || (i < len(g.tuples) && float64(g.tuples[i].V) <= g.buf[j]) {
+		if j >= len(g.buf) || (i < len(g.tuples) && g.tuples[i].V <= g.buf[j]) {
 			merged = append(merged, g.tuples[i])
 			i++
 			continue
@@ -136,7 +136,7 @@ func (g *GK) flush() {
 				delta--
 			}
 		}
-		merged = append(merged, gkTuple{V: jsonF64(g.buf[j]), G: 1, Delta: delta})
+		merged = append(merged, gkTuple{V: g.buf[j], G: 1, Delta: delta})
 		j++
 	}
 	g.n += int64(len(g.buf))
@@ -197,13 +197,13 @@ func (g *GK) Quantile(p float64) float64 {
 		rmin += t.G
 		rmax := rmin + t.Delta
 		if target-rmin <= bound && rmax-target <= bound {
-			return float64(t.V)
+			return t.V
 		}
 		if i == len(g.tuples)-1 {
 			break
 		}
 	}
-	return float64(g.tuples[len(g.tuples)-1].V)
+	return g.tuples[len(g.tuples)-1].V
 }
 
 // Merge combines another GK summary. The receiver's ε must equal the
@@ -256,69 +256,120 @@ func (g *GK) Merge(other Accumulator) error {
 }
 
 // clone copies the summary (buffer included; scratch stays behind —
-// sharing it would let two summaries scribble on one array).
+// sharing it would let two summaries scribble on one array). A nil
+// tuple list stays nil and an empty one empty, as State tells them
+// apart.
 func (g *GK) clone() *GK {
 	c := *g
-	c.tuples = append([]gkTuple(nil), g.tuples...)
-	c.buf = append([]float64(nil), g.buf...)
+	c.tuples = slices.Clone(g.tuples)
+	c.buf = slices.Clone(g.buf)
 	c.scratch = nil
 	return &c
 }
 
-// gkState is the serialized form. The insertion buffer is serialized
-// as-is, NOT flushed: State must be an exact, non-mutating capture so
-// that (a) serializing mid-stream — a worker's periodic upload, a
+var (
+	gkKeys      = []string{"eps", "n", "tuples", "buf"}
+	gkTupleKeys = []string{"v", "g", "d"}
+)
+
+// write appends the state. The insertion buffer is serialized as-is,
+// NOT flushed: State must be an exact, non-mutating capture so that
+// (a) serializing mid-stream — a worker's periodic upload, a
 // checkpoint — cannot perturb the summary's later flush boundaries,
 // and (b) a restored summary continues byte-identically to the
-// uninterrupted original. Buf is empty for merged sketches (Merge
-// flushes), so merged states keep their historical byte layout.
-type gkState struct {
-	Eps    float64   `json:"eps"`
-	N      int64     `json:"n"`
-	Tuples []gkTuple `json:"tuples"`
-	Buf    []jsonF64 `json:"buf,omitempty"`
-}
-
-// State implements Accumulator. It does not modify the summary.
-func (g *GK) State() ([]byte, error) {
-	st := gkState{Eps: g.eps, N: g.n, Tuples: g.tuples}
-	if len(g.buf) > 0 {
-		st.Buf = make([]jsonF64, len(g.buf))
-		for i, v := range g.buf {
-			st.Buf[i] = jsonF64(v)
+// uninterrupted original. The buffer is omitted when empty, as it
+// always is for merged sketches (Merge flushes).
+func (g *GK) write(w *stateWriter) {
+	w.envelope(gkKind)
+	w.num("eps", g.eps)
+	w.int("n", g.n)
+	w.key("tuples")
+	if g.tuples == nil {
+		w.buf = append(w.buf, "null"...)
+	} else {
+		w.open('[')
+		for _, t := range g.tuples {
+			w.open('{')
+			w.f64("v", t.V)
+			w.int("g", t.G)
+			w.int("d", t.Delta)
+			w.close('}')
 		}
+		w.close(']')
 	}
-	return marshalState(gkKind, st)
+	if len(g.buf) > 0 {
+		w.f64s("buf", g.buf)
+	}
+	w.closeEnvelope()
 }
 
-// Restore implements Accumulator.
-func (g *GK) Restore(data []byte) error {
-	var st gkState
-	if err := unmarshalState(gkKind, data, &st); err != nil {
-		return err
+func readGK(r *stateReader) *GK {
+	var (
+		eps    float64
+		n      int64
+		tuples []gkTuple
+		buf    []float64
+	)
+	r.envelope(gkKind, gkKeys, func(key string) {
+		switch key {
+		case "eps":
+			eps = r.num()
+		case "n":
+			n = r.int()
+		case "tuples":
+			tuples = []gkTuple{}
+			if r.array(func() { tuples = append(tuples, readGKTuple(r)) }) {
+				tuples = nil
+			}
+		case "buf":
+			buf = r.f64s()
+		}
+	})
+	if r.err != nil {
+		return nil
 	}
-	if !(st.Eps > 0 && st.Eps < 1) {
-		return fmt.Errorf("stream: gk state has invalid eps %g", st.Eps)
+	if !(eps > 0 && eps < 1) {
+		r.failf("stream: gk state has invalid eps %g", eps)
+		return nil
 	}
 	var total int64
-	for _, t := range st.Tuples {
+	for _, t := range tuples {
 		if t.G < 0 || t.Delta < 0 {
-			return fmt.Errorf("stream: gk state has negative rank span")
+			r.failf("stream: gk state has negative rank span")
+			return nil
 		}
 		total += t.G
 	}
-	if total > st.N || st.N < 0 {
-		return fmt.Errorf("stream: gk state covers %d ranks but claims n=%d", total, st.N)
+	if total > n || n < 0 {
+		r.failf("stream: gk state covers %d ranks but claims n=%d", total, n)
+		return nil
 	}
-	fresh := NewGK(st.Eps)
-	fresh.n = st.N
-	fresh.tuples = st.Tuples
-	if len(st.Buf) > 0 {
-		fresh.buf = make([]float64, len(st.Buf))
-		for i, v := range st.Buf {
-			fresh.buf[i] = float64(v)
-		}
+	g := NewGK(eps)
+	g.n = n
+	g.tuples = tuples
+	if len(buf) > 0 {
+		g.buf = buf
 	}
-	*g = *fresh
-	return nil
+	return g
 }
+
+func readGKTuple(r *stateReader) gkTuple {
+	var t gkTuple
+	r.object(gkTupleKeys, func(key string) {
+		switch key {
+		case "v":
+			t.V = r.f64()
+		case "g":
+			t.G = r.int()
+		case "d":
+			t.Delta = r.int()
+		}
+	})
+	return t
+}
+
+// State implements Accumulator. It does not modify the summary.
+func (g *GK) State() ([]byte, error) { return encode(g.write) }
+
+// Restore implements Accumulator.
+func (g *GK) Restore(data []byte) error { return restoreInto(g, data, readGK) }

@@ -1,7 +1,7 @@
 package stream
 
 import (
-	"fmt"
+	"maps"
 	"math"
 	"sort"
 )
@@ -109,37 +109,72 @@ func (h *Log2Hist) Merge(other Accumulator) error {
 	return nil
 }
 
-// log2State is the serialized form: populated buckets in ascending
-// exponent order, so equal histograms serialize identically.
-type log2State struct {
-	NonPos  int64    `json:"non_positive"`
-	Total   int64    `json:"total"`
-	Buckets []Bucket `json:"buckets"`
+func (h *Log2Hist) clone() *Log2Hist {
+	return &Log2Hist{counts: maps.Clone(h.counts), nonPos: h.nonPos, total: h.total}
+}
+
+var (
+	log2Keys   = []string{"non_positive", "total", "buckets"}
+	bucketKeys = []string{"exp", "n"}
+)
+
+// write appends the state: populated buckets in ascending exponent
+// order, so equal histograms serialize identically.
+func (h *Log2Hist) write(w *stateWriter) {
+	w.envelope(log2Kind)
+	w.int("non_positive", h.nonPos)
+	w.int("total", h.total)
+	w.key("buckets")
+	w.open('[')
+	for _, b := range h.Buckets() {
+		w.open('{')
+		w.int("exp", int64(b.Exp))
+		w.int("n", b.Count)
+		w.close('}')
+	}
+	w.close(']')
+	w.closeEnvelope()
+}
+
+func readLog2Hist(r *stateReader) *Log2Hist {
+	h := NewLog2Hist()
+	var sum int64
+	r.envelope(log2Kind, log2Keys, func(key string) {
+		switch key {
+		case "non_positive":
+			h.nonPos = r.int()
+		case "total":
+			h.total = r.int()
+		case "buckets":
+			r.array(func() {
+				var b Bucket
+				r.object(bucketKeys, func(key string) {
+					if key == "exp" {
+						b.Exp = r.intn()
+					} else {
+						b.Count = r.int()
+					}
+				})
+				if r.err == nil && b.Count < 0 {
+					r.failf("stream: log2hist bucket %d has negative count", b.Exp)
+				}
+				h.counts[b.Exp] += b.Count
+				sum += b.Count
+			})
+		}
+	})
+	if r.err != nil {
+		return nil
+	}
+	if h.nonPos < 0 || sum+h.nonPos != h.total {
+		r.failf("stream: log2hist buckets sum to %d but total is %d", sum+h.nonPos, h.total)
+		return nil
+	}
+	return h
 }
 
 // State implements Accumulator.
-func (h *Log2Hist) State() ([]byte, error) {
-	return marshalState(log2Kind, log2State{NonPos: h.nonPos, Total: h.total, Buckets: h.Buckets()})
-}
+func (h *Log2Hist) State() ([]byte, error) { return encode(h.write) }
 
 // Restore implements Accumulator.
-func (h *Log2Hist) Restore(data []byte) error {
-	var st log2State
-	if err := unmarshalState(log2Kind, data, &st); err != nil {
-		return err
-	}
-	counts := make(map[int]int64, len(st.Buckets))
-	var sum int64
-	for _, b := range st.Buckets {
-		if b.Count < 0 {
-			return fmt.Errorf("stream: log2hist bucket %d has negative count", b.Exp)
-		}
-		counts[b.Exp] += b.Count
-		sum += b.Count
-	}
-	if st.NonPos < 0 || sum+st.NonPos != st.Total {
-		return fmt.Errorf("stream: log2hist buckets sum to %d but total is %d", sum+st.NonPos, st.Total)
-	}
-	*h = Log2Hist{counts: counts, nonPos: st.NonPos, total: st.Total}
-	return nil
-}
+func (h *Log2Hist) Restore(data []byte) error { return restoreInto(h, data, readLog2Hist) }

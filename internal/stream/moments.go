@@ -130,70 +130,42 @@ func (m *Moments) Min() float64 { return m.min }
 // Max returns the largest observation (−Inf when empty).
 func (m *Moments) Max() float64 { return m.max }
 
-// momentsState is the serialized form. Every float rides through
-// jsonF64: the empty sketch's min/max are ±Inf, and a corrupted
-// binary record can feed Inf/NaN observations into any moment, which
-// plain JSON cannot encode.
-type momentsState struct {
-	N    int64   `json:"n"`
-	Mean jsonF64 `json:"mean"`
-	M2   jsonF64 `json:"m2"`
-	Min  jsonF64 `json:"min"`
-	Max  jsonF64 `json:"max"`
+var momentsKeys = []string{"n", "mean", "m2", "min", "max"}
+
+// write appends the state. The floats may be non-finite: the empty
+// sketch's min/max are ±Inf, and a corrupted binary record can feed
+// Inf/NaN observations into any moment.
+func (m *Moments) write(w *stateWriter) {
+	w.envelope(momentsKind)
+	w.int("n", m.n)
+	w.f64("mean", m.mean)
+	w.f64("m2", m.m2)
+	w.f64("min", m.min)
+	w.f64("max", m.max)
+	w.closeEnvelope()
+}
+
+func readMoments(r *stateReader) *Moments {
+	var st Moments
+	r.envelope(momentsKind, momentsKeys, func(key string) {
+		switch key {
+		case "n":
+			st.n = r.int()
+		case "mean":
+			st.mean = r.f64()
+		case "m2":
+			st.m2 = r.f64()
+		case "min":
+			st.min = r.f64()
+		case "max":
+			st.max = r.f64()
+		}
+	})
+	return &st
 }
 
 // State implements Accumulator.
-func (m *Moments) State() ([]byte, error) {
-	return marshalState(momentsKind, momentsState{
-		N: m.n, Mean: jsonF64(m.mean), M2: jsonF64(m.m2), Min: jsonF64(m.min), Max: jsonF64(m.max),
-	})
-}
+func (m *Moments) State() ([]byte, error) { return encode(m.write) }
 
 // Restore implements Accumulator.
-func (m *Moments) Restore(data []byte) error {
-	var st momentsState
-	if err := unmarshalState(momentsKind, data, &st); err != nil {
-		return err
-	}
-	*m = Moments{n: st.N, mean: float64(st.Mean), m2: float64(st.M2), min: float64(st.Min), max: float64(st.Max)}
-	return nil
-}
-
-// jsonF64 is a float64 that survives JSON round-trips of ±Inf and NaN
-// (encoded as the strings "+Inf", "-Inf", "NaN").
-type jsonF64 float64
-
-// MarshalJSON implements json.Marshaler.
-func (f jsonF64) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return jsonNumber(v), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *jsonF64) UnmarshalJSON(data []byte) error {
-	switch string(data) {
-	case `"+Inf"`:
-		*f = jsonF64(math.Inf(1))
-		return nil
-	case `"-Inf"`:
-		*f = jsonF64(math.Inf(-1))
-		return nil
-	case `"NaN"`:
-		*f = jsonF64(math.NaN())
-		return nil
-	}
-	var v float64
-	if err := jsonUnmarshalFloat(data, &v); err != nil {
-		return err
-	}
-	*f = jsonF64(v)
-	return nil
-}
+func (m *Moments) Restore(data []byte) error { return restoreInto(m, data, readMoments) }

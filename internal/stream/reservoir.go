@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 const reservoirKind = "reservoir"
@@ -25,7 +26,10 @@ type Reservoir struct {
 	seed   int64
 	n      int64
 	sample []float64
+	// rng stays nil until a draw needs it; source then builds it at
+	// the position observation replay+1 expects (see replayRNG).
 	rng    *rand.Rand
+	replay int64
 }
 
 // NewReservoir returns an empty reservoir holding up to k samples
@@ -34,7 +38,7 @@ func NewReservoir(k int, seed int64) *Reservoir {
 	if k < 1 {
 		k = DefaultReservoirSize
 	}
-	return &Reservoir{k: k, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Reservoir{k: k, seed: seed}
 }
 
 // Kind implements Accumulator.
@@ -57,7 +61,7 @@ func (r *Reservoir) Observe(x float64) {
 		r.sample = append(r.sample, x)
 		return
 	}
-	if j := r.rng.Int63n(r.n); j < int64(r.k) {
+	if j := r.source().Int63n(r.n); j < int64(r.k) {
 		r.sample[j] = x
 	}
 }
@@ -70,13 +74,55 @@ func (r *Reservoir) ObserveMany(xs []float64) {
 		r.n++
 		r.sample = append(r.sample, xs[i])
 	}
+	if i == len(xs) {
+		return
+	}
+	rng := r.source()
 	for ; i < len(xs); i++ {
 		r.n++
-		if j := r.rng.Int63n(r.n); j < int64(r.k) {
+		if j := rng.Int63n(r.n); j < int64(r.k) {
 			r.sample[j] = xs[i]
 		}
 	}
 }
+
+// source returns the draw RNG, building it on the first draw after
+// NewReservoir, Restore or clone.
+func (r *Reservoir) source() *rand.Rand {
+	if r.rng == nil {
+		r.rng = replayRNG(r.seed, r.k, r.replay)
+	}
+	return r.rng
+}
+
+// replayRNG rebuilds the RNG of an unmerged reservoir after n
+// observations. math/rand exposes no RNG state, but the draw sequence
+// is fully determined by (seed, n): Algorithm R consumes exactly one
+// Int63n(m) per observation m = k+1..n. Replaying that sequence
+// against a fresh seed-keyed source reconstructs the exact position,
+// so a sketch checkpointed mid-stream and restored continues
+// byte-identically to the uninterrupted original (the crash-recovery
+// invariant the distributed workers rely on). Post-merge reservoirs
+// follow a merge-seeded trajectory instead; they are only ever
+// serialized as final results, never resumed into.
+func replayRNG(seed int64, k int, n int64) *rand.Rand {
+	if n-int64(k) > maxReplayDraws {
+		// A forged or astronomically large state would make the replay
+		// unbounded; fall back to a deterministic reseed. Real shard
+		// streams sit far below the cap.
+		return rand.New(rand.NewSource(mergeSeed(seed, n, seed, n)))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for m := int64(k) + 1; m <= n; m++ {
+		rng.Int63n(m)
+	}
+	return rng
+}
+
+// maxReplayDraws bounds replayRNG (about 2 s of draws on a 2-CPU
+// host); states past it — none produced by real ingest — lose
+// continuation exactness but stay deterministic.
+const maxReplayDraws = 1 << 27
 
 // Merge combines another reservoir of the same capacity: each slot of
 // the merged sample is drawn from parent A with probability nA/(nA+nB)
@@ -140,63 +186,54 @@ func mergeSeed(seedA, nA, seedB, nB int64) int64 {
 	return int64(h & (1<<62 - 1))
 }
 
-// reservoirState is the serialized form. math/rand exposes no RNG
-// state, but the draw sequence of an unmerged reservoir is fully
-// determined by (seed, n): Algorithm R consumes exactly one
-// Int63n(m) per observation m = k+1..n. Restore replays that
-// sequence against a fresh seed-keyed source, reconstructing the
-// exact RNG position — so a sketch checkpointed mid-stream and
-// restored continues byte-identically to the uninterrupted original
-// (the crash-recovery invariant the distributed workers rely on).
-// Post-merge reservoirs follow a merge-seeded trajectory instead;
-// they are only ever serialized as final results, never resumed into.
-type reservoirState struct {
-	K    int   `json:"k"`
-	Seed int64 `json:"seed"`
-	N    int64 `json:"n"`
-	// Sample rides through jsonF64 so Inf/NaN observations from a
-	// corrupted trace still serialize.
-	Sample []jsonF64 `json:"sample"`
+// clone copies the reservoir as Restore would rebuild it from its
+// state: the RNG unbuilt, owing the draws of observations k+1..n.
+func (r *Reservoir) clone() *Reservoir {
+	return &Reservoir{k: r.k, seed: r.seed, n: r.n, sample: slices.Clone(r.sample), replay: r.n}
+}
+
+var reservoirKeys = []string{"k", "seed", "n", "sample"}
+
+// write appends the state; the sample is an array even when empty.
+func (r *Reservoir) write(w *stateWriter) {
+	w.envelope(reservoirKind)
+	w.int("k", int64(r.k))
+	w.int("seed", r.seed)
+	w.int("n", r.n)
+	w.f64s("sample", r.sample)
+	w.closeEnvelope()
+}
+
+// readReservoir reads a reservoir state. The RNG stays unbuilt: only
+// a reservoir that draws again (a resumed worker) pays the replay,
+// never a coordinator that merges and serializes.
+func readReservoir(r *stateReader) *Reservoir {
+	var st Reservoir
+	r.envelope(reservoirKind, reservoirKeys, func(key string) {
+		switch key {
+		case "k":
+			st.k = r.intn()
+		case "seed":
+			st.seed = r.int()
+		case "n":
+			st.n = r.int()
+		case "sample":
+			st.sample = r.f64s()
+		}
+	})
+	if r.err != nil {
+		return nil
+	}
+	if st.k < 1 || st.n < 0 || len(st.sample) > st.k {
+		r.failf("stream: reservoir state k=%d n=%d holds %d samples", st.k, st.n, len(st.sample))
+		return nil
+	}
+	st.replay = st.n
+	return &st
 }
 
 // State implements Accumulator.
-func (r *Reservoir) State() ([]byte, error) {
-	sample := make([]jsonF64, len(r.sample))
-	for i, v := range r.sample {
-		sample[i] = jsonF64(v)
-	}
-	return marshalState(reservoirKind, reservoirState{K: r.k, Seed: r.seed, N: r.n, Sample: sample})
-}
+func (r *Reservoir) State() ([]byte, error) { return encode(r.write) }
 
 // Restore implements Accumulator.
-func (r *Reservoir) Restore(data []byte) error {
-	var st reservoirState
-	if err := unmarshalState(reservoirKind, data, &st); err != nil {
-		return err
-	}
-	if st.K < 1 || st.N < 0 || len(st.Sample) > st.K {
-		return fmt.Errorf("stream: reservoir state k=%d n=%d holds %d samples", st.K, st.N, len(st.Sample))
-	}
-	sample := make([]float64, len(st.Sample))
-	for i, v := range st.Sample {
-		sample[i] = float64(v)
-	}
-	rng := rand.New(rand.NewSource(st.Seed))
-	if draws := st.N - int64(st.K); draws <= maxReplayDraws {
-		for m := int64(st.K) + 1; m <= st.N; m++ {
-			rng.Int63n(m)
-		}
-	} else {
-		// A forged or astronomically large state would make the replay
-		// unbounded; fall back to a deterministic reseed. Real shard
-		// streams sit far below the cap.
-		rng = rand.New(rand.NewSource(mergeSeed(st.Seed, st.N, st.Seed, st.N)))
-	}
-	*r = Reservoir{k: st.K, seed: st.Seed, n: st.N, sample: sample, rng: rng}
-	return nil
-}
-
-// maxReplayDraws bounds Restore's RNG replay (~1s of draws); states
-// past it — none produced by real ingest — lose continuation
-// exactness but stay deterministic.
-const maxReplayDraws = 1 << 27
+func (r *Reservoir) Restore(data []byte) error { return restoreInto(r, data, readReservoir) }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -133,42 +132,46 @@ func (d *Dim) Merge(o *Dim) error {
 	return d.Sample.Merge(o.Sample)
 }
 
-// dimState is the serialized form of one dimension.
-type dimState struct {
-	Moments json.RawMessage `json:"moments"`
-	Quant   json.RawMessage `json:"quantiles"`
-	Hist    json.RawMessage `json:"hist"`
-	Sample  json.RawMessage `json:"sample"`
+// clone deep-copies the dimension, each accumulator as its Restore
+// would rebuild it from State output.
+func (d *Dim) clone() *Dim {
+	m := *d.Moments
+	return &Dim{Moments: &m, Quant: d.Quant.clone(), Hist: d.Hist.clone(), Sample: d.Sample.clone()}
 }
 
-func (d *Dim) state() (dimState, error) {
-	var st dimState
-	var err error
-	if st.Moments, err = d.Moments.State(); err != nil {
-		return st, err
-	}
-	if st.Quant, err = d.Quant.State(); err != nil {
-		return st, err
-	}
-	if st.Hist, err = d.Hist.State(); err != nil {
-		return st, err
-	}
-	st.Sample, err = d.Sample.State()
-	return st, err
+var dimKeys = []string{"moments", "quantiles", "hist", "sample"}
+
+func (d *Dim) write(w *stateWriter) {
+	w.open('{')
+	w.key("moments")
+	d.Moments.write(w)
+	w.key("quantiles")
+	d.Quant.write(w)
+	w.key("hist")
+	d.Hist.write(w)
+	w.key("sample")
+	d.Sample.write(w)
+	w.close('}')
 }
 
-func (d *Dim) restore(st dimState) error {
-	d.Moments, d.Quant, d.Hist, d.Sample = NewMoments(), NewGK(DefaultEpsilon), NewLog2Hist(), NewReservoir(DefaultReservoirSize, 1)
-	if err := d.Moments.Restore(st.Moments); err != nil {
-		return err
+func readDim(r *stateReader) *Dim {
+	var d Dim
+	seen := r.object(dimKeys, func(key string) {
+		switch key {
+		case "moments":
+			d.Moments = readMoments(r)
+		case "quantiles":
+			d.Quant = readGK(r)
+		case "hist":
+			d.Hist = readLog2Hist(r)
+		case "sample":
+			d.Sample = readReservoir(r)
+		}
+	})
+	if r.err == nil && seen != all(dimKeys) {
+		r.failf("stream: dimension state lacks one of %v", dimKeys)
 	}
-	if err := d.Quant.Restore(st.Quant); err != nil {
-		return err
-	}
-	if err := d.Hist.Restore(st.Hist); err != nil {
-		return err
-	}
-	return d.Sample.Restore(st.Sample)
+	return &d
 }
 
 // Obs is one derived observation record, the per-record facts every
@@ -217,24 +220,19 @@ type batchScratch struct {
 // NewSketch builds an empty sketch for the given trace kind
 // (ConnSketch or PacketSketch) and shard index.
 func NewSketch(traceKind string, shard int, cfg Config) (*Sketch, error) {
-	var dimNames []string
-	switch traceKind {
-	case ConnSketch:
-		dimNames = []string{"bytes", "duration", "gap"}
-	case PacketSketch:
-		dimNames = []string{"size", "gap"}
-	default:
+	names, ok := sketchDims[traceKind]
+	if !ok {
 		return nil, fmt.Errorf("stream: unknown trace kind %q", traceKind)
 	}
 	cfg = cfg.withDefaults(traceKind)
 	s := &Sketch{
 		traceKind: traceKind,
 		shard:     shard,
-		dims:      make(map[string]*Dim, len(dimNames)),
+		dims:      make(map[string]*Dim, len(names)),
 		arrivals:  NewWindowCounter(cfg.WindowWidth),
 		aggVar:    NewAggVar(cfg.AggBinWidth, cfg.Horizon),
 	}
-	for _, name := range dimNames {
+	for _, name := range names {
 		s.dims[name] = newDim(cfg, shard, name)
 	}
 	return s, nil
@@ -357,85 +355,114 @@ func (s *Sketch) Merge(o *Sketch) error {
 	return nil
 }
 
-// sketchState is the serialized form. Dimension states live in a map;
-// encoding/json emits map keys in sorted order, so equal sketches
-// serialize byte-identically.
-type sketchState struct {
-	TraceKind string              `json:"trace_kind"`
-	Shard     int                 `json:"shard"`
-	Records   int64               `json:"records"`
-	Dims      map[string]dimState `json:"dims"`
-	Arrivals  json.RawMessage     `json:"arrivals"`
-	AggVar    json.RawMessage     `json:"aggvar"`
-}
+var (
+	sketchKeys = []string{"trace_kind", "shard", "records", "dims", "arrivals", "aggvar"}
+	// dimNames lists every dimension a sketch state may carry, the keys
+	// of its dims object; sketchDims says which each trace kind has.
+	dimNames   = []string{"bytes", "duration", "gap", "size"}
+	sketchDims = map[string][]string{
+		ConnSketch:   {"bytes", "duration", "gap"},
+		PacketSketch: {"size", "gap"},
+	}
+)
 
-// State serializes the full sketch deterministically as JSON.
+// State serializes the full sketch deterministically as JSON, its
+// dimensions in sorted name order.
 func (s *Sketch) State() ([]byte, error) {
-	st := sketchState{
-		TraceKind: s.traceKind,
-		Shard:     s.shard,
-		Records:   s.records,
-		Dims:      make(map[string]dimState, len(s.dims)),
-	}
-	for name, d := range s.dims {
-		ds, err := d.state()
-		if err != nil {
-			return nil, err
+	return encode(func(w *stateWriter) {
+		w.open('{')
+		w.str("trace_kind", s.traceKind)
+		w.int("shard", int64(s.shard))
+		w.int("records", s.records)
+		w.key("dims")
+		w.open('{')
+		for _, name := range s.DimNames() {
+			w.key(name)
+			s.dims[name].write(w)
 		}
-		st.Dims[name] = ds
-	}
-	var err error
-	if st.Arrivals, err = s.arrivals.State(); err != nil {
-		return nil, err
-	}
-	if st.AggVar, err = s.aggVar.State(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
+		w.close('}')
+		w.key("arrivals")
+		s.arrivals.write(w)
+		w.key("aggvar")
+		s.aggVar.write(w)
+		w.close('}')
+	})
 }
 
 // RestoreSketch rebuilds a sketch from State output.
 func RestoreSketch(data []byte) (*Sketch, error) {
-	var st sketchState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("stream: corrupt sketch state: %w", err)
-	}
-	fresh, err := NewSketch(st.TraceKind, st.Shard, Config{})
-	if err != nil {
-		return nil, err
-	}
-	if st.Records < 0 {
-		return nil, fmt.Errorf("stream: sketch state claims %d records", st.Records)
-	}
-	if len(st.Dims) != len(fresh.dims) {
-		return nil, fmt.Errorf("stream: %s sketch state has %d dimensions, want %d", st.TraceKind, len(st.Dims), len(fresh.dims))
-	}
-	for name, d := range fresh.dims {
-		ds, ok := st.Dims[name]
-		if !ok {
-			return nil, fmt.Errorf("stream: sketch state lacks dimension %q", name)
-		}
-		if err := d.restore(ds); err != nil {
-			return nil, fmt.Errorf("stream: restoring dimension %q: %w", name, err)
-		}
-	}
-	if err := fresh.arrivals.Restore(st.Arrivals); err != nil {
-		return nil, err
-	}
-	if err := fresh.aggVar.Restore(st.AggVar); err != nil {
-		return nil, err
-	}
-	fresh.records = st.Records
-	return fresh, nil
+	return decode(data, readSketch)
 }
 
-// Clone deep-copies a sketch via a State/Restore round-trip.
-func (s *Sketch) Clone() (*Sketch, error) {
-	data, err := s.State()
-	if err != nil {
-		return nil, err
+func readSketch(r *stateReader) *Sketch {
+	s := &Sketch{dims: make(map[string]*Dim, 3)}
+	var kind []byte
+	r.object(sketchKeys, func(key string) {
+		switch key {
+		case "trace_kind":
+			kind = r.rawString()
+		case "shard":
+			s.shard = r.intn()
+		case "records":
+			s.records = r.int()
+		case "dims":
+			r.object(dimNames, func(name string) {
+				if s.dims[name] = readDim(r); r.err != nil {
+					r.wrap("stream: restoring dimension %q", name)
+				}
+			})
+		case "arrivals":
+			s.arrivals = readWindow(r)
+		case "aggvar":
+			s.aggVar = readAggVar(r)
+		}
+	})
+	if r.err != nil {
+		return nil
 	}
-	return RestoreSketch(data)
+	want, ok := sketchDims[string(kind)]
+	if !ok {
+		r.failf("stream: unknown trace kind %q", kind)
+		return nil
+	}
+	s.traceKind = string(kind)
+	if s.records < 0 {
+		r.failf("stream: sketch state claims %d records", s.records)
+		return nil
+	}
+	if len(s.dims) != len(want) {
+		r.failf("stream: %s sketch state has %d dimensions, want %d", s.traceKind, len(s.dims), len(want))
+		return nil
+	}
+	for _, name := range want {
+		if s.dims[name] == nil {
+			r.failf("stream: sketch state lacks dimension %q", name)
+			return nil
+		}
+	}
+	if s.arrivals == nil || s.aggVar == nil {
+		r.failf("stream: sketch state lacks its arrivals or aggvar state")
+		return nil
+	}
+	return s
+}
+
+// Clone deep-copies a sketch. The copy equals RestoreSketch(s.State())
+// without the round trip: each reservoir's RNG is left unbuilt, as
+// Restore leaves it.
+func (s *Sketch) Clone() (*Sketch, error) {
+	c := &Sketch{
+		traceKind: s.traceKind,
+		shard:     s.shard,
+		records:   s.records,
+		dims:      make(map[string]*Dim, len(s.dims)),
+		arrivals:  s.arrivals.clone(),
+		aggVar:    s.aggVar.clone(),
+	}
+	for name, d := range s.dims {
+		c.dims[name] = d.clone()
+	}
+	return c, nil
 }
 
 // MergeSketches folds shard sketches into one, in ascending shard

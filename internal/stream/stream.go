@@ -38,10 +38,7 @@
 //     tolerance, and quantiles carry an explicit rank-error bound ε.
 package stream
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Accumulator is one mergeable streaming statistic.
 type Accumulator interface {
@@ -74,49 +71,6 @@ type Accumulator interface {
 // kindError reports a Merge between mismatched sketch kinds.
 func kindError(want string, got Accumulator) error {
 	return fmt.Errorf("stream: cannot merge %q into %q", got.Kind(), want)
-}
-
-// envelope is the serialized form shared by every accumulator: the
-// kind tag plus the kind-specific state.
-type envelope struct {
-	Kind  string          `json:"kind"`
-	State json.RawMessage `json:"state"`
-}
-
-// marshalState wraps a kind-specific state in the envelope.
-func marshalState(kind string, state any) ([]byte, error) {
-	raw, err := json.Marshal(state)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(envelope{Kind: kind, State: raw})
-}
-
-// unmarshalState unwraps an envelope, checking the kind tag.
-func unmarshalState(kind string, data []byte, state any) error {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("stream: corrupt %s state: %w", kind, err)
-	}
-	if env.Kind != kind {
-		return fmt.Errorf("stream: state kind %q, want %q", env.Kind, kind)
-	}
-	if err := json.Unmarshal(env.State, state); err != nil {
-		return fmt.Errorf("stream: corrupt %s state: %w", kind, err)
-	}
-	return nil
-}
-
-// jsonNumber renders a finite float deterministically (shortest
-// round-trip form, matching encoding/json).
-func jsonNumber(v float64) []byte {
-	raw, _ := json.Marshal(v)
-	return raw
-}
-
-// jsonUnmarshalFloat parses a JSON number.
-func jsonUnmarshalFloat(data []byte, v *float64) error {
-	return json.Unmarshal(data, v)
 }
 
 // New constructs a zero-value accumulator of the given kind with

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 const windowKind = "window"
@@ -178,42 +179,75 @@ func (w *WindowCounter) Merge(other Accumulator) error {
 	return nil
 }
 
-// windowState is the serialized form.
-type windowState struct {
-	Width  float64 `json:"width"`
-	Early  int64   `json:"early"`
-	Late   int64   `json:"late"`
-	Total  int64   `json:"total"`
-	Counts []int64 `json:"counts"`
+func (w *WindowCounter) clone() *WindowCounter {
+	c := *w
+	c.counts = slices.Clone(w.counts)
+	return &c
 }
 
-// State implements Accumulator.
-func (w *WindowCounter) State() ([]byte, error) {
-	return marshalState(windowKind, windowState{Width: w.width, Early: w.early, Late: w.late, Total: w.total, Counts: w.counts})
+var windowKeys = []string{"width", "early", "late", "total", "counts"}
+
+func (w *WindowCounter) write(sw *stateWriter) {
+	sw.envelope(windowKind)
+	sw.num("width", w.width)
+	sw.int("early", w.early)
+	sw.int("late", w.late)
+	sw.int("total", w.total)
+	sw.ints("counts", w.counts)
+	sw.closeEnvelope()
 }
 
-// Restore implements Accumulator.
-func (w *WindowCounter) Restore(data []byte) error {
-	var st windowState
-	if err := unmarshalState(windowKind, data, &st); err != nil {
-		return err
+func readWindow(r *stateReader) *WindowCounter {
+	var st WindowCounter
+	r.envelope(windowKind, windowKeys, func(key string) {
+		switch key {
+		case "width":
+			st.width = r.num()
+		case "early":
+			st.early = r.int()
+		case "late":
+			st.late = r.int()
+		case "total":
+			st.total = r.int()
+		case "counts":
+			st.counts = r.ints()
+		}
+	})
+	if r.err != nil {
+		return nil
 	}
-	if !(st.Width > 0) {
-		return fmt.Errorf("stream: window state has invalid width %g", st.Width)
+	if !(st.width > 0) {
+		r.failf("stream: window state has invalid width %g", st.width)
+		return nil
 	}
-	if len(st.Counts) > MaxWindows {
-		return fmt.Errorf("stream: window state spans %d windows (limit %d)", len(st.Counts), MaxWindows)
+	if err := st.checkCounts(windowKind, "windows"); err != nil {
+		r.fail(err)
+		return nil
+	}
+	return &st
+}
+
+// checkCounts rejects a restored count vector that is too long, holds
+// a negative count, or does not sum to the total.
+func (w *WindowCounter) checkCounts(kind, unit string) error {
+	if len(w.counts) > MaxWindows {
+		return fmt.Errorf("stream: %s state spans %d %s (limit %d)", kind, len(w.counts), unit, MaxWindows)
 	}
 	var binned int64
-	for _, c := range st.Counts {
+	for _, c := range w.counts {
 		if c < 0 {
-			return fmt.Errorf("stream: window state has negative count")
+			return fmt.Errorf("stream: %s state has negative count", kind)
 		}
 		binned += c
 	}
-	if st.Early < 0 || st.Late < 0 || binned+st.Early+st.Late != st.Total {
-		return fmt.Errorf("stream: window counts sum to %d but total is %d", binned+st.Early+st.Late, st.Total)
+	if w.early < 0 || w.late < 0 || binned+w.early+w.late != w.total {
+		return fmt.Errorf("stream: %s counts sum to %d but total is %d", kind, binned+w.early+w.late, w.total)
 	}
-	*w = WindowCounter{width: st.Width, counts: st.Counts, early: st.Early, late: st.Late, total: st.Total}
 	return nil
 }
+
+// State implements Accumulator.
+func (w *WindowCounter) State() ([]byte, error) { return encode(w.write) }
+
+// Restore implements Accumulator.
+func (w *WindowCounter) Restore(data []byte) error { return restoreInto(w, data, readWindow) }

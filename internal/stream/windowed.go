@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -232,64 +231,88 @@ func (r *RollingCounter) Lag1() float64 {
 	return (&WindowCounter{width: r.width, counts: r.ring}).Lag1()
 }
 
-// rollingState is the serialized form.
-type rollingState struct {
-	Width         float64 `json:"width"`
-	Keep          int     `json:"keep"`
-	Started       bool    `json:"started"`
-	Base          int64   `json:"base"`
-	Ring          []int64 `json:"ring"`
-	EvictedWins   int64   `json:"evicted_windows"`
-	EvictedEvents int64   `json:"evicted_events"`
-	Stale         int64   `json:"stale"`
-	Early         int64   `json:"early"`
-	Total         int64   `json:"total"`
+var rollingKeys = []string{"width", "keep", "started", "base", "ring",
+	"evicted_windows", "evicted_events", "stale", "early", "total"}
+
+func (r *RollingCounter) write(w *stateWriter) {
+	w.envelope(rollingKind)
+	w.num("width", r.width)
+	w.int("keep", int64(r.keep))
+	w.bool("started", r.started)
+	w.int("base", r.base)
+	w.ints("ring", r.ring)
+	w.int("evicted_windows", r.evictedWins)
+	w.int("evicted_events", r.evictedEvents)
+	w.int("stale", r.stale)
+	w.int("early", r.early)
+	w.int("total", r.total)
+	w.closeEnvelope()
 }
 
 // State serializes the counter deterministically as JSON.
-func (r *RollingCounter) State() ([]byte, error) {
-	return marshalState(rollingKind, rollingState{
-		Width: r.width, Keep: r.keep, Started: r.started, Base: r.base, Ring: r.ring,
-		EvictedWins: r.evictedWins, EvictedEvents: r.evictedEvents,
-		Stale: r.stale, Early: r.early, Total: r.total,
-	})
-}
+func (r *RollingCounter) State() ([]byte, error) { return encode(r.write) }
 
 // Restore replaces the counter's state from State output; the state
 // must carry the receiver's width and keep.
-func (r *RollingCounter) Restore(data []byte) error {
-	var st rollingState
-	if err := unmarshalState(rollingKind, data, &st); err != nil {
-		return err
+func (r *RollingCounter) Restore(data []byte) error { return restoreInto(r, data, r.read) }
+
+func (r *RollingCounter) read(sr *stateReader) *RollingCounter {
+	var st RollingCounter
+	sr.envelope(rollingKind, rollingKeys, func(key string) {
+		switch key {
+		case "width":
+			st.width = sr.num()
+		case "keep":
+			st.keep = sr.intn()
+		case "started":
+			st.started = sr.bool()
+		case "base":
+			st.base = sr.int()
+		case "ring":
+			st.ring = sr.ints()
+		case "evicted_windows":
+			st.evictedWins = sr.int()
+		case "evicted_events":
+			st.evictedEvents = sr.int()
+		case "stale":
+			st.stale = sr.int()
+		case "early":
+			st.early = sr.int()
+		case "total":
+			st.total = sr.int()
+		}
+	})
+	if sr.err != nil {
+		return nil
 	}
-	if st.Width != r.width || st.Keep != r.keep {
-		return fmt.Errorf("stream: rolling state shape %gx%d does not match the counter's %gx%d",
-			st.Width, st.Keep, r.width, r.keep)
+	if st.width != r.width || st.keep != r.keep {
+		sr.failf("stream: rolling state shape %gx%d does not match the counter's %gx%d",
+			st.width, st.keep, r.width, r.keep)
+		return nil
 	}
-	if len(st.Ring) > st.Keep {
-		return fmt.Errorf("stream: rolling state holds %d windows (keep %d)", len(st.Ring), st.Keep)
+	if len(st.ring) > st.keep {
+		sr.failf("stream: rolling state holds %d windows (keep %d)", len(st.ring), st.keep)
+		return nil
 	}
-	if err := checkWindow(rollingKind, st.Base); err != nil {
-		return err
+	if err := checkWindow(rollingKind, st.base); err != nil {
+		sr.fail(err)
+		return nil
 	}
 	var binned int64
-	for _, c := range st.Ring {
+	for _, c := range st.ring {
 		if c < 0 {
-			return fmt.Errorf("stream: rolling state has negative count")
+			sr.failf("stream: rolling state has negative count")
+			return nil
 		}
 		binned += c
 	}
-	if st.EvictedEvents < 0 || st.Stale < 0 || st.Early < 0 ||
-		binned+st.EvictedEvents+st.Stale+st.Early != st.Total {
-		return fmt.Errorf("stream: rolling counts sum to %d but total is %d",
-			binned+st.EvictedEvents+st.Stale+st.Early, st.Total)
+	if st.evictedEvents < 0 || st.stale < 0 || st.early < 0 ||
+		binned+st.evictedEvents+st.stale+st.early != st.total {
+		sr.failf("stream: rolling counts sum to %d but total is %d",
+			binned+st.evictedEvents+st.stale+st.early, st.total)
+		return nil
 	}
-	*r = RollingCounter{
-		width: st.Width, keep: st.Keep, started: st.Started, base: st.Base, ring: st.Ring,
-		evictedWins: st.EvictedWins, evictedEvents: st.EvictedEvents,
-		stale: st.Stale, early: st.Early, total: st.Total,
-	}
-	return nil
+	return &st
 }
 
 // Tumbling is GK's windowed form: observations fold into the quantile
@@ -390,53 +413,73 @@ func (u *Tumbling) Flush() {
 	u.open = false
 }
 
-// tumblingState is the serialized form: the inner sketch state rides
-// along whole (its envelope already carries its kind).
-type tumblingState struct {
-	Width  float64         `json:"width"`
-	Cur    int64           `json:"window"`
-	Open   bool            `json:"open"`
-	Closed int64           `json:"closed"`
-	Late   int64           `json:"late"`
-	Total  int64           `json:"total"`
-	Inner  json.RawMessage `json:"inner"`
+var tumblingKeys = []string{"width", "window", "open", "closed", "late", "total", "inner"}
+
+// write appends the state; the inner summary's state rides along
+// whole, its envelope carrying its kind.
+func (u *Tumbling) write(w *stateWriter) {
+	w.envelope(tumblingKind)
+	w.num("width", u.width)
+	w.int("window", u.cur)
+	w.bool("open", u.open)
+	w.int("closed", u.closed)
+	w.int("late", u.late)
+	w.int("total", u.total)
+	w.key("inner")
+	u.inner.write(w)
+	w.closeEnvelope()
 }
 
 // State serializes the summary deterministically as JSON.
-func (u *Tumbling) State() ([]byte, error) {
-	inner, err := u.inner.State()
-	if err != nil {
-		return nil, err
-	}
-	return marshalState(tumblingKind, tumblingState{
-		Width: u.width, Cur: u.cur, Open: u.open, Closed: u.closed,
-		Late: u.late, Total: u.total, Inner: inner,
-	})
-}
+func (u *Tumbling) State() ([]byte, error) { return encode(u.write) }
 
 // Restore replaces the summary's state from State output; the state
 // must carry the receiver's width.
-func (u *Tumbling) Restore(data []byte) error {
-	var st tumblingState
-	if err := unmarshalState(tumblingKind, data, &st); err != nil {
-		return err
+func (u *Tumbling) Restore(data []byte) error { return restoreInto(u, data, u.read) }
+
+func (u *Tumbling) read(r *stateReader) *Tumbling {
+	var st Tumbling
+	r.envelope(tumblingKind, tumblingKeys, func(key string) {
+		switch key {
+		case "width":
+			st.width = r.num()
+		case "window":
+			st.cur = r.int()
+		case "open":
+			st.open = r.bool()
+		case "closed":
+			st.closed = r.int()
+		case "late":
+			st.late = r.int()
+		case "total":
+			st.total = r.int()
+		case "inner":
+			if st.inner = readGK(r); r.err != nil {
+				r.wrap("stream: tumbling inner")
+			}
+		}
+	})
+	if r.err != nil {
+		return nil
 	}
-	if st.Width != u.width {
-		return fmt.Errorf("stream: tumbling state width %g does not match the summary's %g", st.Width, u.width)
+	if st.width != u.width {
+		r.failf("stream: tumbling state width %g does not match the summary's %g", st.width, u.width)
+		return nil
 	}
-	if err := checkWindow(tumblingKind, st.Cur); err != nil {
-		return err
+	if err := checkWindow(tumblingKind, st.cur); err != nil {
+		r.fail(err)
+		return nil
 	}
-	if st.Closed < 0 || st.Late < 0 || st.Total < 0 {
-		return fmt.Errorf("stream: tumbling state has negative counters")
+	if st.closed < 0 || st.late < 0 || st.total < 0 {
+		r.failf("stream: tumbling state has negative counters")
+		return nil
 	}
-	inner := NewGK(u.eps)
-	if err := inner.Restore(st.Inner); err != nil {
-		return fmt.Errorf("stream: tumbling inner: %w", err)
+	if st.inner == nil {
+		r.failf("stream: tumbling inner: %s state lacks its inner summary", tumblingKind)
+		return nil
 	}
-	u.cur, u.open, u.closed, u.late, u.total, u.inner =
-		st.Cur, st.Open, st.Closed, st.Late, st.Total, inner
-	return nil
+	st.eps, st.OnClose = u.eps, u.OnClose
+	return &st
 }
 
 // Decayed tracks exponentially time-decayed weighted moments and a
@@ -570,7 +613,7 @@ func (d *Decayed) AdvanceTo(t float64) {
 func (d *Decayed) Buckets() []DecayedBucket {
 	out := make([]DecayedBucket, 0, len(d.buckets))
 	for e, w := range d.buckets {
-		out = append(out, DecayedBucket{Exp: e, Weight: jsonF64(w)})
+		out = append(out, DecayedBucket{Exp: e, Weight: w})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Exp < out[j].Exp })
 	return out
@@ -579,63 +622,104 @@ func (d *Decayed) Buckets() []DecayedBucket {
 // DecayedBucket is one decayed histogram bucket [2^exp, 2^(exp+1)).
 type DecayedBucket struct {
 	Exp    int     `json:"exp"`
-	Weight jsonF64 `json:"w"`
+	Weight float64 `json:"w"`
 }
 
-// decayedState is the serialized form; float aggregates ride through
-// jsonF64 so corrupted-trace infinities still serialize, and buckets
-// are sorted so equal states are byte-identical.
-type decayedState struct {
-	Width    float64         `json:"width"`
-	HalfLife float64         `json:"half_life"`
-	Cur      int64           `json:"window"`
-	Open     bool            `json:"open"`
-	Weight   jsonF64         `json:"weight"`
-	Mean     jsonF64         `json:"mean"`
-	M2       jsonF64         `json:"m2"`
-	NonPos   jsonF64         `json:"non_positive"`
-	Total    int64           `json:"total"`
-	Late     int64           `json:"late"`
-	Buckets  []DecayedBucket `json:"buckets"`
+var (
+	decayedKeys       = []string{"width", "half_life", "window", "open", "weight", "mean", "m2", "non_positive", "total", "late", "buckets"}
+	decayedBucketKeys = []string{"exp", "w"}
+)
+
+// write appends the state. The float aggregates may be non-finite
+// after corrupted-trace infinities; buckets are sorted so equal states
+// are byte-identical.
+func (d *Decayed) write(w *stateWriter) {
+	w.envelope(decayedKind)
+	w.num("width", d.width)
+	w.num("half_life", d.halfLife)
+	w.int("window", d.cur)
+	w.bool("open", d.open)
+	w.f64("weight", d.weight)
+	w.f64("mean", d.mean)
+	w.f64("m2", d.m2)
+	w.f64("non_positive", d.nonPos)
+	w.int("total", d.total)
+	w.int("late", d.late)
+	w.key("buckets")
+	w.open('[')
+	for _, b := range d.Buckets() {
+		w.open('{')
+		w.int("exp", int64(b.Exp))
+		w.f64("w", b.Weight)
+		w.close('}')
+	}
+	w.close(']')
+	w.closeEnvelope()
 }
 
 // State serializes the accumulator deterministically as JSON.
-func (d *Decayed) State() ([]byte, error) {
-	return marshalState(decayedKind, decayedState{
-		Width: d.width, HalfLife: d.halfLife, Cur: d.cur, Open: d.open,
-		Weight: jsonF64(d.weight), Mean: jsonF64(d.mean), M2: jsonF64(d.m2),
-		NonPos: jsonF64(d.nonPos), Total: d.total, Late: d.late, Buckets: d.Buckets(),
-	})
-}
+func (d *Decayed) State() ([]byte, error) { return encode(d.write) }
 
 // Restore replaces the accumulator's state from State output; the
 // state must carry the receiver's width and half-life.
-func (d *Decayed) Restore(data []byte) error {
-	var st decayedState
-	if err := unmarshalState(decayedKind, data, &st); err != nil {
-		return err
-	}
-	if st.Width != d.width || st.HalfLife != d.halfLife {
-		return fmt.Errorf("stream: decayed state shape %g/%g does not match the accumulator's %g/%g",
-			st.Width, st.HalfLife, d.width, d.halfLife)
-	}
-	if err := checkWindow(decayedKind, st.Cur); err != nil {
-		return err
-	}
-	if st.Total < 0 || st.Late < 0 || float64(st.Weight) < 0 || float64(st.NonPos) < 0 {
-		return fmt.Errorf("stream: decayed state has negative mass")
-	}
-	buckets := make(map[int]float64, len(st.Buckets))
-	for _, b := range st.Buckets {
-		if float64(b.Weight) < 0 {
-			return fmt.Errorf("stream: decayed bucket %d has negative weight", b.Exp)
+func (d *Decayed) Restore(data []byte) error { return restoreInto(d, data, d.read) }
+
+func (d *Decayed) read(r *stateReader) *Decayed {
+	st := Decayed{buckets: make(map[int]float64)}
+	r.envelope(decayedKind, decayedKeys, func(key string) {
+		switch key {
+		case "width":
+			st.width = r.num()
+		case "half_life":
+			st.halfLife = r.num()
+		case "window":
+			st.cur = r.int()
+		case "open":
+			st.open = r.bool()
+		case "weight":
+			st.weight = r.f64()
+		case "mean":
+			st.mean = r.f64()
+		case "m2":
+			st.m2 = r.f64()
+		case "non_positive":
+			st.nonPos = r.f64()
+		case "total":
+			st.total = r.int()
+		case "late":
+			st.late = r.int()
+		case "buckets":
+			r.array(func() {
+				var b DecayedBucket
+				r.object(decayedBucketKeys, func(key string) {
+					if key == "exp" {
+						b.Exp = r.intn()
+					} else {
+						b.Weight = r.f64()
+					}
+				})
+				if r.err == nil && b.Weight < 0 {
+					r.failf("stream: decayed bucket %d has negative weight", b.Exp)
+				}
+				st.buckets[b.Exp] += b.Weight
+			})
 		}
-		buckets[b.Exp] += float64(b.Weight)
+	})
+	if r.err != nil {
+		return nil
 	}
-	*d = Decayed{
-		width: st.Width, halfLife: st.HalfLife, cur: st.Cur, open: st.Open,
-		weight: float64(st.Weight), mean: float64(st.Mean), m2: float64(st.M2),
-		nonPos: float64(st.NonPos), total: st.Total, late: st.Late, buckets: buckets,
+	if st.width != d.width || st.halfLife != d.halfLife {
+		r.failf("stream: decayed state shape %g/%g does not match the accumulator's %g/%g",
+			st.width, st.halfLife, d.width, d.halfLife)
+		return nil
 	}
-	return nil
+	if err := checkWindow(decayedKind, st.cur); err != nil {
+		r.fail(err)
+		return nil
+	}
+	if st.total < 0 || st.late < 0 || st.weight < 0 || st.nonPos < 0 {
+		r.failf("stream: decayed state has negative mass")
+		return nil
+	}
+	return &st
 }

@@ -265,27 +265,27 @@ func TestWindowedRestoreRejectsCorruption(t *testing.T) {
 	rolling := func() timed { return NewRollingCounter(1, 2) }
 	tumbling := func() timed { return NewTumbling(1, 0.01) }
 	decayed := func() timed { return NewDecayed(1, 8) }
-	const gk = `{"kind":"gk","v":1,"state":{"eps":0.01,"n":0,"tuples":null}}`
+	const gk = `{"kind":"gk","state":{"eps":0.01,"n":0,"tuples":null}}`
 	cases := []struct {
 		name  string
 		mk    func() timed
 		state string
 		want  string // substring of the rejection
 	}{
-		{"rollwin-sum", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"base":0,"ring":[5],"evicted_windows":0,"evicted_events":0,"stale":0,"early":0,"total":3}}`, "sum to"},
-		{"rollwin-negative", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"ring":[-1],"total":-1}}`, "negative count"},
-		{"rollwin-shape", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":4,"ring":[],"total":0}}`, "does not match"},
-		{"rollwin-over", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"ring":[1,2,3],"total":6}}`, "holds 3 windows"},
-		{"rollwin-base-min", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"base":-9223372036854775808,"ring":[1],"total":1}}`, "outside"},
-		{"rollwin-base-far", rolling, `{"kind":"rollwin","v":1,"state":{"width":1,"keep":2,"started":true,"base":4611686018427387904,"ring":[1],"total":1}}`, "outside"},
-		{"tumbling-width", tumbling, `{"kind":"tumbling","v":1,"state":{"width":0,"inner":` + gk + `}}`, "does not match"},
-		{"tumbling-window", tumbling, `{"kind":"tumbling","v":1,"state":{"width":1,"window":-1,"open":true,"inner":` + gk + `}}`, "outside"},
-		{"tumbling-inner", tumbling, `{"kind":"tumbling","v":1,"state":{"width":1,"inner":{"kind":"moments","v":1,"state":{}}}}`, "tumbling inner"},
-		{"decayed-shape", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":16,"total":0,"buckets":[]}}`, "does not match"},
-		{"decayed-window", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"window":-9223372036854775808,"open":true,"total":0,"buckets":[]}}`, "outside"},
-		{"decayed-weight", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":-1,"total":0,"buckets":[]}}`, "negative mass"},
-		{"decayed-bucket", decayed, `{"kind":"decayed","v":1,"state":{"width":1,"half_life":8,"weight":1,"total":1,"buckets":[{"exp":0,"w":-4}]}}`, "negative weight"},
-		{"mismatched-kind", rolling, `{"kind":"moments","v":1,"state":{}}`, "want \"rollwin\""},
+		{"rollwin-sum", rolling, `{"kind":"rollwin","state":{"width":1,"keep":2,"started":true,"base":0,"ring":[5],"evicted_windows":0,"evicted_events":0,"stale":0,"early":0,"total":3}}`, "sum to"},
+		{"rollwin-negative", rolling, `{"kind":"rollwin","state":{"width":1,"keep":2,"started":true,"ring":[-1],"total":-1}}`, "negative count"},
+		{"rollwin-shape", rolling, `{"kind":"rollwin","state":{"width":1,"keep":4,"ring":[],"total":0}}`, "does not match"},
+		{"rollwin-over", rolling, `{"kind":"rollwin","state":{"width":1,"keep":2,"ring":[1,2,3],"total":6}}`, "holds 3 windows"},
+		{"rollwin-base-min", rolling, `{"kind":"rollwin","state":{"width":1,"keep":2,"started":true,"base":-9223372036854775808,"ring":[1],"total":1}}`, "outside"},
+		{"rollwin-base-far", rolling, `{"kind":"rollwin","state":{"width":1,"keep":2,"started":true,"base":4611686018427387904,"ring":[1],"total":1}}`, "outside"},
+		{"tumbling-width", tumbling, `{"kind":"tumbling","state":{"width":0,"inner":` + gk + `}}`, "does not match"},
+		{"tumbling-window", tumbling, `{"kind":"tumbling","state":{"width":1,"window":-1,"open":true,"inner":` + gk + `}}`, "outside"},
+		{"tumbling-inner", tumbling, `{"kind":"tumbling","state":{"width":1,"inner":{"kind":"moments","state":{}}}}`, "tumbling inner"},
+		{"decayed-shape", decayed, `{"kind":"decayed","state":{"width":1,"half_life":16,"total":0,"buckets":[]}}`, "does not match"},
+		{"decayed-window", decayed, `{"kind":"decayed","state":{"width":1,"half_life":8,"window":-9223372036854775808,"open":true,"total":0,"buckets":[]}}`, "outside"},
+		{"decayed-weight", decayed, `{"kind":"decayed","state":{"width":1,"half_life":8,"weight":-1,"total":0,"buckets":[]}}`, "negative mass"},
+		{"decayed-bucket", decayed, `{"kind":"decayed","state":{"width":1,"half_life":8,"weight":1,"total":1,"buckets":[{"exp":0,"w":-4}]}}`, "negative weight"},
+		{"mismatched-kind", rolling, `{"kind":"moments","state":{}}`, "want \"rollwin\""},
 	}
 	for _, tc := range cases {
 		err := tc.mk().Restore([]byte(tc.state))
