@@ -13,13 +13,16 @@
 //	wancoord serve -workers 4 -wait 2m            give up after 2m
 //	wancoord split -n 4 -o /tmp/shard trace.conn  shard a trace
 //
-// serve prints "coordinator: serving on URL" to stderr (scripts attach
-// by scraping the line, same contract as the monitor banner), serves
-// the coordinator API (POST /v1/upload, GET /v1/results, GET
-// /v1/state, POST /v1/snapshot) alongside the monitor's /metrics,
-// /healthz and /events, and exits when every expected worker has
-// finalized — or when -wait elapses, or POST /quitquitquit — printing
-// the combined results JSON to stdout.
+// serve runs the shared monitor session on -listen (its -token guards
+// the mutating routes, as -serve-token does elsewhere), mounts the
+// coordinator API (POST /v1/upload, GET /v1/results, GET /v1/state,
+// POST /v1/snapshot) beside the monitor's /metrics, /healthz and
+// /events, then prints "coordinator: serving on URL" to stderr
+// (scripts attach by scraping the line, same contract as the monitor
+// banner). It exits when every expected worker has finalized — or
+// when -wait elapses, or POST /quitquitquit — printing the combined
+// results JSON to stdout, and honours -serve-linger like every -serve
+// tool.
 //
 // split decomposes a trace record-by-record, round-robin, into N
 // shard files with the input's header and encoding preserved — the
@@ -44,8 +47,6 @@ import (
 
 	"wantraffic/internal/cli"
 	"wantraffic/internal/coord"
-	"wantraffic/internal/monitor"
-	"wantraffic/internal/obs"
 	"wantraffic/internal/trace"
 )
 
@@ -92,6 +93,9 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	if *wait < 0 {
 		return cli.Usagef("-wait must be >= 0")
 	}
+	if *listen == "" {
+		return cli.Usagef("-listen must name an address")
+	}
 	if *resume && *snapshot == "" {
 		return cli.Usagef("-resume requires -snapshot")
 	}
@@ -101,54 +105,34 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The coordinator rides on its own monitor server (not the shared
-	// -serve flag): serving IS this subcommand's job, so -listen is
-	// mandatory-by-default and the obs flags keep their usual meaning
-	// for artifacts (-metrics-out, -log, profiles).
+	// Serving is this subcommand's job, so -listen and -token stand in
+	// for the shared -serve and -serve-token: the coordinator's routes
+	// ride on the same monitor session as every other tool's.
 	if obsFlags.Serve != "" || obsFlags.ServeToken != "" {
 		return cli.Usagef("wancoord serve uses -listen and -token, not -serve/-serve-token")
 	}
+	obsFlags.Serve, obsFlags.ServeToken = *listen, *token
 	sess, err := obsFlags.Start(stderr)
 	if err != nil {
 		return err
 	}
 	defer sess.Close()
-	metrics := sess.Metrics
-	if metrics == nil {
-		metrics = obs.NewRegistry()
-	}
-
-	bus := obs.NewBus()
-	// The coordinator owns its monitor, so it wires watermarks and the
-	// metrics history itself (the shared -serve path does this in
-	// cli.ObsFlags.Start). Fold watermarks arrive with worker uploads.
-	marks := obs.NewWatermarks(metrics, nil)
-	hist := monitor.NewHistory(monitor.HistoryOptions{
-		Registry: metrics,
-		Cap:      obsFlags.HistoryCap,
-		Refresh:  marks.Refresh,
-		Bus:      bus,
-	}).Start(obsFlags.HistoryInterval)
-	defer hist.Close()
 	c, err := coord.New(coord.Options{
 		ExpectedWorkers: *workers,
 		StaleAfter:      *staleAfter,
 		Snapshot:        *snapshot,
-		Metrics:         metrics,
-		Marks:           marks,
-		Bus:             bus,
+		Metrics:         sess.Metrics,
+		Marks:           sess.Marks,
+		Bus:             sess.Bus,
 		Logger:          sess.Logger,
 	})
 	if err != nil {
 		return err
 	}
-	mopts := monitor.Options{Tool: "wancoord", Registry: metrics, Bus: bus, Token: *token, History: hist}
-	c.Mount(&mopts)
-	srv, err := monitor.Start(*listen, mopts)
-	if err != nil {
-		return err
+	srv := sess.Server
+	for path, h := range c.Handlers(srv.Guard) {
+		srv.Handle(path, h)
 	}
-	defer srv.Close()
 	fmt.Fprintf(stderr, "coordinator: serving on %s\n", srv.URL())
 	sess.Logger.Info("coordinator serving", "url", srv.URL(), "expected_workers", *workers)
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,9 +219,25 @@ func startServe(t *testing.T, args []string) (string, *syncBuffer, chan error) {
 	}
 }
 
+// get returns a GET's body, failing the test unless it answers 200.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s (%v)", url, resp.Status, err)
+	}
+	return string(body)
+}
+
 // TestServeEndToEnd: split a trace, run a coordinator and two workers
 // against it, and require the combined results to be complete with the
-// single-process reference digest.
+// single-process reference digest. On the way it checks the routes
+// the monitor session serves for the coordinator.
 func TestServeEndToEnd(t *testing.T) {
 	in := writeTraceFile(t, testConnTrace(1200), false)
 	prefix := filepath.Join(t.TempDir(), "sh")
@@ -232,6 +250,25 @@ func TestServeEndToEnd(t *testing.T) {
 	want := referenceDigest(t, paths, cfg)
 
 	url, stdout, done := startServe(t, []string{"-workers", "2", "-wait", "30s", "-token", "s3cret"})
+
+	// The coordinator's routes ride on the monitor session: its token
+	// guard refuses a tokenless upload and counts the denial, and
+	// /healthz names the tool, not the subcommand.
+	resp, err := http.Post(url+"/v1/upload", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Errorf("tokenless upload: %s, want 403", resp.Status)
+	}
+	if metrics := get(t, url+"/metrics"); !strings.Contains(metrics, "\nmonitor_auth_denied_total 1\n") {
+		t.Errorf("/metrics does not count the denial:\n%s", metrics)
+	}
+	if hz := get(t, url+"/healthz"); !strings.Contains(hz, `"tool":"wancoord"`) {
+		t.Errorf("/healthz = %s, want tool wancoord", hz)
+	}
+
 	for i, p := range paths {
 		if _, err := coord.RunWorker(context.Background(), coord.WorkerOptions{
 			ID: fmt.Sprintf("worker-%d", i), Shard: i, TracePath: p, Config: cfg,

@@ -31,12 +31,13 @@
 // load.rate.target, load.rate.achieved.wall, load.users, per-protocol
 // counters) and the runtime reshape endpoint: POST a JSON body like
 // {"source": "telnet", "scale": 4} or {"pattern": "bursty"} to
-// /load/reshape (guarded by -serve-token) and the daemon reshapes the
-// running population at the trace position it has reached, publishing
-// a load_reshape event on /events. When the scenario came from a real
-// file, SIGHUP re-reads it and applies rate and pattern changes as
-// live reshapes (origin "sighup"); structural changes are rejected
-// with a log line and the run continues unchanged.
+// /load/reshape (guarded by -serve-token, and mounted once the daemon
+// is built, before the "load: scenario" line) and the daemon reshapes
+// the running population at the trace position it has reached,
+// publishing a load_reshape event on /events. When the scenario came
+// from a real file, SIGHUP re-reads it and applies rate and pattern
+// changes as live reshapes (origin "sighup"); structural changes are
+// rejected with a log line and the run continues unchanged.
 //
 // -pipeline-id stamps an identity into the trace framing (text: a
 // "#pipeline <id>" comment; binary: a sentinel block) that downstream
@@ -54,10 +55,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 
 	"wantraffic/internal/cli"
@@ -84,13 +83,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	binaryOut := fs.Bool("binary", false, "emit the compact binary trace framing (streamed count)")
 	reportPath := fs.String("report", "", "write the final run report as JSON to this file")
 	obsFlags := cli.RegisterObs(fs)
-
-	// The reshape endpoint must be mounted before the monitor starts,
-	// but the daemon is built after (it wants the session's registry
-	// and bus) — a swappable proxy bridges the gap.
-	ctl := &ctlProxy{}
-	obsFlags.ExtraHandlers = map[string]http.Handler{"/load/reshape": ctl}
-
 	if err := cli.ParseFlags(fs, args); err != nil {
 		return err
 	}
@@ -147,7 +139,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return cli.Usagef("%v", err)
 	}
-	ctl.set(d.ControlHandler(obsFlags.ServeToken))
+	if sess.Server != nil {
+		sess.Server.Handle("/load/reshape", sess.Server.Guard(d.ControlHandler()))
+	}
 	fmt.Fprintf(stderr, "load: scenario %q: %d user(s) across %d source(s), horizon %.6gs\n",
 		sc.Name, d.Users(), len(sc.Sources), d.Horizon())
 
@@ -257,19 +251,4 @@ func openOutput(ctx context.Context, out, listen string, stdout io.Writer, stder
 	default:
 		return stdout, func() error { return nil }, nil
 	}
-}
-
-// ctlProxy lets the reshape route be mounted before the daemon
-// exists; requests racing daemon construction get 503.
-type ctlProxy struct{ h atomic.Pointer[http.Handler] }
-
-func (p *ctlProxy) set(h http.Handler) { p.h.Store(&h) }
-
-func (p *ctlProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h := p.h.Load()
-	if h == nil {
-		http.Error(w, "load daemon not started yet", http.StatusServiceUnavailable)
-		return
-	}
-	(*h).ServeHTTP(w, r)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"wantraffic/internal/cli"
+	"wantraffic/internal/obs"
 	"wantraffic/internal/trace"
 )
 
@@ -288,9 +290,35 @@ func TestListenStreamsToClient(t *testing.T) {
 	}
 }
 
+// reshapeEvents attaches to the monitor's /events stream and delivers
+// the load_reshape events it carries once the stream ends.
+func reshapeEvents(t *testing.T, base string) <-chan []obs.StreamEvent {
+	t.Helper()
+	resp, err := http.Get(base + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []obs.StreamEvent, 1)
+	go func() {
+		defer resp.Body.Close()
+		var evs []obs.StreamEvent
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var ev obs.StreamEvent
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok &&
+				json.Unmarshal([]byte(data), &ev) == nil && ev.Kind == obs.EventLoadReshape {
+				evs = append(evs, ev)
+			}
+		}
+		out <- evs
+	}()
+	return out
+}
+
 // TestLiveReshapeEndpoint drives the full serving path: a dilated run
-// with -serve and -serve-token, a rejected tokenless POST, an
-// accepted reshape, and the run summary counting it.
+// of a scenario with a scheduled phase, under -serve and -serve-token,
+// a rejected tokenless POST, an accepted reshape, both reshapes on
+// /events, and the run summary counting them.
 func TestLiveReshapeEndpoint(t *testing.T) {
 	sc := writeScenario(t, `{
 		"name": "live",
@@ -298,6 +326,9 @@ func TestLiveReshapeEndpoint(t *testing.T) {
 		"horizon": 40,
 		"sources": [
 			{"name": "tel", "proto": "TELNET", "pattern": "poisson", "users": 4, "rate": 50}
+		],
+		"phases": [
+			{"at": 30, "pattern": "bursty", "scale": 2}
 		]
 	}`)
 	errw := &syncBuffer{}
@@ -309,6 +340,9 @@ func TestLiveReshapeEndpoint(t *testing.T) {
 			"-serve", "127.0.0.1:0", "-serve-token", "s3", sc}, &out, errw)
 	}()
 	base := waitFor(t, errw, "monitor: serving on ")
+	events := reshapeEvents(t, base)
+	// The route is mounted before this line is printed.
+	waitFor(t, errw, "load: scenario ")
 
 	post := func(token string) int {
 		req, err := http.NewRequest(http.MethodPost, base+"/load/reshape",
@@ -336,7 +370,18 @@ func TestLiveReshapeEndpoint(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if sum := waitFor(t, errw, "load: done: "); !strings.Contains(sum, "1 reshape(s)") {
-		t.Errorf("summary %q should count the live reshape", sum)
+	if sum := waitFor(t, errw, "load: done: "); !strings.Contains(sum, "2 reshape(s)") {
+		t.Errorf("summary %q should count the live reshape and the phase", sum)
+	}
+	evs := <-events
+	if len(evs) != 2 {
+		t.Fatalf("%d load_reshape event(s) on /events, want 2: %+v", len(evs), evs)
+	}
+	origins := map[string]bool{}
+	for _, ev := range evs {
+		origins[ev.Attrs["origin"]] = true
+	}
+	if !origins["control"] || !origins["phase"] {
+		t.Errorf("load_reshape origins %v, want control and phase", origins)
 	}
 }

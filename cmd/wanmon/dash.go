@@ -6,7 +6,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -157,31 +156,19 @@ func tallyEvents(ctx context.Context, base string, st *dashTally) {
 		}
 		resp, err := client.Do(req)
 		if err == nil && resp.StatusCode == http.StatusOK {
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-			var data string
-			for sc.Scan() {
-				line := sc.Text()
-				switch {
-				case strings.HasPrefix(line, "data: "):
-					data = strings.TrimPrefix(line, "data: ")
-				case line == "" && data != "":
-					var ev obs.StreamEvent
-					if json.Unmarshal([]byte(data), &ev) == nil {
-						st.mu.Lock()
-						switch ev.Kind {
-						case obs.EventVerdict:
-							st.verdicts[ev.Name]++
-						case obs.EventChangePoint:
-							st.changes++
-						case obs.EventLoadReshape:
-							st.reshapes++
-						}
-						st.mu.Unlock()
-					}
-					data = ""
+			readEvents(resp.Body, func(ev obs.StreamEvent) bool {
+				st.mu.Lock()
+				switch ev.Kind {
+				case obs.EventVerdict:
+					st.verdicts[ev.Name]++
+				case obs.EventChangePoint:
+					st.changes++
+				case obs.EventLoadReshape:
+					st.reshapes++
 				}
-			}
+				st.mu.Unlock()
+				return true
+			})
 		}
 		if resp != nil {
 			resp.Body.Close()

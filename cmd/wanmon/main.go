@@ -202,10 +202,10 @@ type watchState struct {
 	changes  int               // change-point events seen
 }
 
-// renderEvents consumes one SSE stream, printing one line per event.
-// done reports that the -max budget is spent; a nil error otherwise
-// means the server ended the stream.
-func renderEvents(r io.Reader, st *watchState, w io.Writer, max int, quiet bool) (done bool, err error) {
+// readEvents decodes one SSE stream ("data: <json>" lines, each event
+// ended by a blank line), calling fn per event until fn returns false
+// or the stream ends. It returns the read error, if any.
+func readEvents(r io.Reader, fn func(obs.StreamEvent) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var data string
@@ -216,22 +216,32 @@ func renderEvents(r io.Reader, st *watchState, w io.Writer, max int, quiet bool)
 			data = strings.TrimPrefix(line, "data: ")
 		case line == "" && data != "":
 			var ev obs.StreamEvent
-			if err := json.Unmarshal([]byte(data), &ev); err == nil {
-				renderEvent(st, ev, w, quiet)
-			}
+			err := json.Unmarshal([]byte(data), &ev)
 			data = ""
-			if max > 0 && st.events >= max {
-				return true, nil
+			if err == nil && !fn(ev) {
+				return nil
 			}
 		}
 	}
-	if err := sc.Err(); err != nil && !strings.Contains(err.Error(), "EOF") {
+	return sc.Err()
+}
+
+// renderEvents consumes one SSE stream, printing one line per event.
+// done reports that the -max budget is spent; a nil error otherwise
+// means the server ended the stream.
+func renderEvents(r io.Reader, st *watchState, w io.Writer, max int, quiet bool) (done bool, err error) {
+	err = readEvents(r, func(ev obs.StreamEvent) bool {
+		renderEvent(st, ev, w, quiet)
+		done = max > 0 && st.events >= max
+		return !done
+	})
+	if err != nil && !strings.Contains(err.Error(), "EOF") {
 		// The server closing the stream mid-read is a normal drop;
 		// anything else (timeout, reset) is an error the caller may
 		// retry or surface.
 		return false, err
 	}
-	return false, nil
+	return done, nil
 }
 
 func renderEvent(st *watchState, ev obs.StreamEvent, w io.Writer, quiet bool) {

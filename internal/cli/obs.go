@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"wantraffic/internal/monitor"
@@ -37,13 +37,10 @@ type ObsFlags struct {
 	// (slog text handler), or "" for no logging.
 	LogFormat string
 	// ServeToken, when non-empty, guards the monitor's mutating
-	// endpoints (POST /quitquitquit and any guarded extra handler)
-	// behind a shared secret; unauthenticated requests get 403.
+	// endpoints (POST /quitquitquit and any route a tool mounts
+	// through Server.Guard) behind a shared secret; unauthenticated
+	// requests get 403.
 	ServeToken string
-	// ExtraHandlers mounts additional routes on the monitor server's
-	// mux. Tools set it between RegisterObs and Start (wanload mounts
-	// its /load/reshape control this way).
-	ExtraHandlers map[string]http.Handler
 	// HistoryInterval is the self-scrape period of the in-process
 	// metrics history served at /metrics/history under -serve
 	// (0 disables the scrape ticker; the endpoint stays mounted).
@@ -55,10 +52,12 @@ type ObsFlags struct {
 }
 
 // RegisterObs registers the shared observability flags on fs. The
-// returned struct is populated by fs.Parse; the flag set's name is
-// reported as the tool name on /healthz.
+// returned struct is populated by fs.Parse; the flag set's name up to
+// its first space (the command, without a subcommand such as
+// "wancoord serve"'s) is reported as the tool name on /healthz.
 func RegisterObs(fs *flag.FlagSet) *ObsFlags {
-	o := &ObsFlags{tool: fs.Name()}
+	tool, _, _ := strings.Cut(fs.Name(), " ")
+	o := &ObsFlags{tool: tool}
 	fs.StringVar(&o.MetricsOut, "metrics-out", "",
 		"write a metrics snapshot as JSON to this file on exit")
 	fs.StringVar(&o.TraceOut, "trace-out", "",
@@ -169,7 +168,6 @@ func (o *ObsFlags) Start(stderr io.Writer) (*ObsSession, error) {
 			Registry: s.Metrics,
 			Bus:      s.Bus,
 			Token:    o.ServeToken,
-			Handlers: o.ExtraHandlers,
 			History:  s.History,
 		})
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,20 +16,20 @@ import (
 	"wantraffic/internal/stream"
 )
 
-// newCoordServer mounts a coordinator on an httptest server the way
-// the real tool mounts it on the monitor server: same route map, same
-// token guard.
-func newCoordServer(t *testing.T, c *Coordinator, token string) *httptest.Server {
+// newCoordServer mounts a coordinator on a monitor server the way
+// wancoord does: same route map, same token guard. It returns the
+// server's base URL.
+func newCoordServer(t *testing.T, c *Coordinator, reg *obs.Registry, token string) string {
 	t.Helper()
-	mopts := monitor.Options{Token: token}
-	c.Mount(&mopts)
-	mux := http.NewServeMux()
-	for path, h := range mopts.Handlers {
-		mux.Handle(path, h)
+	s, err := monitor.Start("127.0.0.1:0", monitor.Options{Registry: reg, Token: token})
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
+	t.Cleanup(func() { s.Close() })
+	for path, h := range c.Handlers(s.Guard) {
+		s.Handle(path, h)
+	}
+	return s.URL()
 }
 
 // noSleep collects backoff delays instead of sleeping.
@@ -50,12 +49,12 @@ func TestClientRetries5xxThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	var calls atomic.Int64
 	reg := obs.NewRegistry()
 	var delays []time.Duration
 	cl := &Client{
-		Base: srv.URL, Seed: 7, Metrics: reg, Sleep: noSleep(&delays),
+		Base: base, Seed: 7, Metrics: reg, Sleep: noSleep(&delays),
 		HTTPClient: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 			if calls.Add(1) <= 2 {
 				return &http.Response{StatusCode: 503, Status: "503 Service Unavailable",
@@ -91,11 +90,11 @@ func TestClientRetriesConnectionFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	var delays []time.Duration
 	// Drop the first two requests client-side, then deliver.
 	cl := &Client{
-		Base: srv.URL, Seed: 7, Sleep: noSleep(&delays),
+		Base: base, Seed: 7, Sleep: noSleep(&delays),
 		HTTPClient: &http.Client{Transport: fault.NewRoundTripper(nil, fault.HTTPPlan{
 			Seed: 11, DropRate: 0.9,
 		})},
@@ -121,11 +120,11 @@ func TestClientRetriesLostResponseIdempotently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	var delays []time.Duration
 	n := 0
 	cl := &Client{
-		Base: srv.URL, Seed: 7, Sleep: noSleep(&delays),
+		Base: base, Seed: 7, Sleep: noSleep(&delays),
 		HTTPClient: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 			n++
 			resp, err := http.DefaultTransport.RoundTrip(req)
@@ -158,9 +157,9 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	var delays []time.Duration
-	cl := &Client{Base: srv.URL, Seed: 7, Sleep: noSleep(&delays)}
+	cl := &Client{Base: base, Seed: 7, Sleep: noSleep(&delays)}
 	u := clientUpload(t)
 	u.Proto = "bogus/v9"
 	u.Digest = Digest(u.State) // keep the digest honest; the proto is the rejection
@@ -197,11 +196,11 @@ func TestClientRetriesTruncatedReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	var delays []time.Duration
 	n := 0
 	cl := &Client{
-		Base: srv.URL, Seed: 7, Sleep: noSleep(&delays),
+		Base: base, Seed: 7, Sleep: noSleep(&delays),
 		HTTPClient: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 			n++
 			resp, err := http.DefaultTransport.RoundTrip(req)
@@ -285,18 +284,18 @@ func TestUploadEndpointTokenGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "sekrit")
+	base := newCoordServer(t, c, reg, "sekrit")
 
 	// No token: mutating routes 403; read routes stay open.
-	cl := &Client{Base: srv.URL, Seed: 1, Sleep: func(time.Duration) {}}
+	cl := &Client{Base: base, Seed: 1, Sleep: func(time.Duration) {}}
 	if _, err := cl.Upload(context.Background(), clientUpload(t)); err == nil ||
 		!strings.Contains(err.Error(), "403") {
 		t.Fatalf("tokenless upload: %v", err)
 	}
-	if got := reg.Counter("coord.auth.denied").Value(); got != 1 {
+	if got := reg.Counter("monitor.auth.denied").Value(); got != 1 {
 		t.Fatalf("denied counter = %d", got)
 	}
-	resp, err := http.Get(srv.URL + "/v1/results")
+	resp, err := http.Get(base + "/v1/results")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +315,7 @@ func TestUploadEndpointTokenGuard(t *testing.T) {
 	}
 
 	// /v1/state serves the merged bytes with the digest header.
-	resp, err = http.Get(srv.URL + "/v1/state")
+	resp, err = http.Get(base + "/v1/state")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +337,8 @@ func TestUploadEndpointStale409(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
-	cl := &Client{Base: srv.URL, Seed: 1, Sleep: func(time.Duration) {}}
+	base := newCoordServer(t, c, nil, "")
+	cl := &Client{Base: base, Seed: 1, Sleep: func(time.Duration) {}}
 	tr := testTrace(80)
 	newer := uploadFor(t, observeConns(t, tr.Conns, 0, stream.Config{Seed: 2}), "w0", 0, 2, 5, false)
 	older := uploadFor(t, observeConns(t, tr.Conns[:40], 0, stream.Config{Seed: 2}), "w0", 0, 1, 1, false)

@@ -289,17 +289,9 @@ func (c *Coordinator) Apply(u Upload) (Reply, error) {
 	defer c.mu.Unlock()
 	ent := c.workers[u.Worker]
 	if ent == nil {
-		// First contact: the shard slot must be unowned, and the trace
-		// kind must match the cohort.
-		for id, other := range c.workers {
-			if other.last.Shard == u.Shard {
-				c.rejected.Inc()
-				return Reply{}, rejectf("shard %d already owned by worker %q", u.Shard, id)
-			}
-			if other.sketch.TraceKind() != sk.TraceKind() {
-				c.rejected.Inc()
-				return Reply{}, rejectf("trace kind %q, cohort ingests %q", sk.TraceKind(), other.sketch.TraceKind())
-			}
+		if err := c.admitLocked(u, sk); err != nil {
+			c.rejected.Inc()
+			return Reply{}, err
 		}
 		ent = &workerEntry{}
 		c.workers[u.Worker] = ent
@@ -344,6 +336,22 @@ func (c *Coordinator) Apply(u Upload) (Reply, error) {
 	ent.last = u
 	ent.sketch = sk
 	return c.accept(ent, u, now), nil
+}
+
+// admitLocked is the first-contact check a worker's first state
+// passes, from an upload or a snapshot entry: its shard slot is
+// unowned, and its trace kind matches the cohort's. Callers hold the
+// lock.
+func (c *Coordinator) admitLocked(u Upload, sk *stream.Sketch) error {
+	for id, other := range c.workers {
+		if other.last.Shard == u.Shard {
+			return rejectf("shard %d already owned by worker %q", u.Shard, id)
+		}
+		if other.sketch.TraceKind() != sk.TraceKind() {
+			return rejectf("trace kind %q, cohort ingests %q", sk.TraceKind(), other.sketch.TraceKind())
+		}
+	}
+	return nil
 }
 
 // accept finishes an accepted upload under the lock.
@@ -622,9 +630,12 @@ func (c *Coordinator) Snapshot() error {
 }
 
 // restoreSnapshot loads a snapshot written by a previous coordinator
-// process. Every entry is digest-pinned: an entry whose state bytes
-// do not hash to its recorded digest, or does not restore, is dropped
-// with a warning (the worker will re-upload idempotently). A missing
+// process. Every entry is digest-pinned and admitted as a first
+// upload would be: an entry whose state bytes do not hash to its
+// recorded digest, that does not restore, that claims an earlier
+// entry's shard, or whose trace kind differs from the earlier
+// entries', is dropped with a warning (the worker will re-upload
+// idempotently). A missing
 // file is a fresh start; an unparsable file degrades to a fresh start
 // with a warning, because workers re-POSTing their full state can
 // always rebuild the coordinator.
@@ -648,6 +659,9 @@ func (c *Coordinator) restoreSnapshot(path string) error {
 	now := c.opts.Clock()
 	for _, u := range snap.Workers {
 		sk, err := validate(u)
+		if err == nil {
+			err = c.admitLocked(u, sk)
+		}
 		if err != nil {
 			c.snapshotDropped.Inc()
 			if c.opts.Logger != nil {

@@ -98,7 +98,7 @@ func referenceDigest(t *testing.T, shards []*trace.ConnTrace, cfg stream.Config)
 }
 
 // uploadFor wraps a sketch's serialized state in an upload envelope.
-func uploadFor(t *testing.T, sk *stream.Sketch, worker string, shard int, epoch, seq int64, final bool) Upload {
+func uploadFor(t testing.TB, sk *stream.Sketch, worker string, shard int, epoch, seq int64, final bool) Upload {
 	t.Helper()
 	state, err := sk.State()
 	if err != nil {
@@ -113,7 +113,7 @@ func uploadFor(t *testing.T, sk *stream.Sketch, worker string, shard int, epoch,
 
 // observeConns folds a subset of connections into a fresh sketch with
 // worker gap semantics (gaps within the subsequence).
-func observeConns(t *testing.T, conns []trace.Conn, shard int, cfg stream.Config) *stream.Sketch {
+func observeConns(t testing.TB, conns []trace.Conn, shard int, cfg stream.Config) *stream.Sketch {
 	t.Helper()
 	sk, err := stream.NewSketch(stream.ConnSketch, shard, cfg)
 	if err != nil {
@@ -424,6 +424,72 @@ func TestSnapshotCorruptionDegrades(t *testing.T) {
 	if got := reg3.Counter("coord.snapshot.dropped").Value(); got != 1 {
 		t.Fatalf("dropped counter = %d, want 1", got)
 	}
+
+	// Entries a live coordinator would refuse at first contact are
+	// dropped too: the restore keeps w0, merges, and admits a new conn
+	// worker.
+	for _, tc := range conflictingSnapshots(t) {
+		if err := os.WriteFile(snap, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		c, err := New(Options{Snapshot: snap, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Results()
+		if err != nil {
+			t.Fatalf("%s: results: %v", tc.name, err)
+		}
+		if res.Reporting != 1 || res.Workers[0].Worker != "w0" {
+			t.Fatalf("%s: restored workers %+v, want w0 alone", tc.name, res.Workers)
+		}
+		if got := reg.Counter("coord.snapshot.dropped").Value(); got != 1 {
+			t.Fatalf("%s: dropped counter = %d, want 1", tc.name, got)
+		}
+		if _, err := c.Apply(uploadFor(t, observeConns(t, tr.Conns[:40], 2, cfg), "w2", 2, 1, 1, true)); err != nil {
+			t.Fatalf("%s: new conn worker refused: %v", tc.name, err)
+		}
+	}
+}
+
+// namedSnapshot is a snapshot file's bytes under a case name.
+type namedSnapshot struct {
+	name string
+	raw  []byte
+}
+
+// conflictingSnapshots returns snapshot files whose entries each pass
+// the per-entry checks (digest, restore, record count) but which pair
+// w0, a conn worker on shard 0, with an entry Apply would refuse at
+// first contact: a packet worker, or a second worker on shard 0.
+func conflictingSnapshots(tb testing.TB) []namedSnapshot {
+	tb.Helper()
+	cfg := stream.Config{Seed: 3}
+	conns := testTrace(300).Conns
+	pkt, err := stream.NewSketch(stream.PacketSketch, 1, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		pkt.Observe(stream.Obs{Time: float64(i), Value: 512, Gap: 1, HasGap: i > 0})
+	}
+	w0 := uploadFor(tb, observeConns(tb, conns, 0, cfg), "w0", 0, 1, 1, true)
+	var out []namedSnapshot
+	for _, second := range []struct {
+		name string
+		u    Upload
+	}{
+		{"conn and packet workers", uploadFor(tb, pkt, "w1", 1, 1, 1, true)},
+		{"two workers on shard 0", uploadFor(tb, observeConns(tb, conns[:100], 0, cfg), "w1", 0, 1, 1, true)},
+	} {
+		raw, err := json.Marshal(snapshotFile{Proto: Proto, Workers: []Upload{w0, second.u}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, namedSnapshot{second.name, raw})
+	}
+	return out
 }
 
 func TestResultsDegradation(t *testing.T) {

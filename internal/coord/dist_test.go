@@ -30,7 +30,7 @@ func distRound(t *testing.T, paths []string, cfg stream.Config, seed int64) stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	ckptDir := t.TempDir()
 
 	var wg sync.WaitGroup
@@ -58,7 +58,7 @@ func distRound(t *testing.T, paths []string, cfg stream.Config, seed int64) stri
 				ID: wname(i), Shard: i, TracePath: paths[i], Config: cfg,
 				UploadEvery: 512, Checkpoint: ckpt,
 				Client: &Client{
-					Base: srv.URL, Seed: uint64(plan.Seed), Retries: 60,
+					Base: base, Seed: uint64(plan.Seed), Retries: 60,
 					Sleep:      func(time.Duration) {},
 					HTTPClient: &http.Client{Transport: fault.NewRoundTripper(nil, plan)},
 				},
@@ -71,7 +71,7 @@ func distRound(t *testing.T, paths []string, cfg stream.Config, seed int64) stri
 				cplan.CutDelivered = crashAfter%2 == 0 // sometimes the server applies the doomed upload
 				first := opts
 				first.Client = &Client{
-					Base: srv.URL, Seed: uint64(plan.Seed), Retries: 2,
+					Base: base, Seed: uint64(plan.Seed), Retries: 2,
 					Sleep:      func(time.Duration) {},
 					HTTPClient: &http.Client{Transport: fault.NewRoundTripper(nil, cplan)},
 				}
@@ -141,12 +141,12 @@ func TestWorkerRestartIdempotence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := newCoordServer(t, c, "")
+		base := newCoordServer(t, c, nil, "")
 		ckpt := filepath.Join(t.TempDir(), "w0.ckpt")
 		opts := WorkerOptions{
 			ID: "w0", Shard: 0, TracePath: paths[0], Config: cfg,
 			UploadEvery: 512, Checkpoint: ckpt,
-			Client: &Client{Base: srv.URL, Seed: 1, Sleep: func(time.Duration) {}},
+			Client: &Client{Base: base, Seed: 1, Sleep: func(time.Duration) {}},
 		}
 		if killWorker0 {
 			// The second upload is applied server-side, but the worker is
@@ -154,7 +154,7 @@ func TestWorkerRestartIdempotence(t *testing.T) {
 			// at-least-once window where double-counting bugs live.
 			first := opts
 			first.Client = &Client{
-				Base: srv.URL, Seed: 1, Retries: 1, Sleep: func(time.Duration) {},
+				Base: base, Seed: 1, Retries: 1, Sleep: func(time.Duration) {},
 				HTTPClient: &http.Client{Transport: fault.NewRoundTripper(nil, fault.HTTPPlan{
 					CutAfter: 1, CutDelivered: true,
 				})},
@@ -176,7 +176,7 @@ func TestWorkerRestartIdempotence(t *testing.T) {
 		}
 		if _, err := RunWorker(context.Background(), WorkerOptions{
 			ID: "w1", Shard: 1, TracePath: paths[1], Config: cfg,
-			Client: &Client{Base: srv.URL, Seed: 2, Sleep: func(time.Duration) {}},
+			Client: &Client{Base: base, Seed: 2, Sleep: func(time.Duration) {}},
 		}); err != nil {
 			t.Fatal(err)
 		}

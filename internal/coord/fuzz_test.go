@@ -146,13 +146,17 @@ func FuzzUploadBody(f *testing.F) {
 // FuzzCheckpoint feeds arbitrary bytes to the worker's checkpoint
 // decoder and, as a snapshot file, to a starting coordinator. Nothing
 // panics; an accepted checkpoint's sketch re-serializes canonically;
-// and any snapshot a coordinator cannot use degrades to a fresh start.
+// any snapshot a coordinator cannot use degrades to a fresh start; and
+// what a snapshot restores merges, to the same digest every time.
 func FuzzCheckpoint(f *testing.F) {
 	_, checkpoints, snapshot := fleetSeeds(f)
 	for _, c := range checkpoints {
 		f.Add(c)
 	}
 	f.Add(snapshot)
+	for _, tc := range conflictingSnapshots(f) {
+		f.Add(tc.raw)
+	}
 	f.Add(forge(f, checkpoints[0]))
 	f.Add([]byte(`{"proto":"wantraffic-coord/v1","workers":[{}]}`))
 	path := filepath.Join(f.TempDir(), "coord.json")
@@ -177,8 +181,16 @@ func FuzzCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("snapshot did not degrade to a fresh start: %v", err)
 		}
-		// A snapshot may pair workers a live coordinator would not
-		// (two trace kinds); the merge may refuse them but not panic.
-		c.Results()
+		if _, err := c.Results(); err != nil {
+			t.Fatalf("restored snapshot does not merge: %v", err)
+		}
+		s1, d1, err := c.Merged()
+		if err != nil {
+			t.Fatalf("merge after restore: %v", err)
+		}
+		s2, d2, err := c.Merged()
+		if err != nil || d1 != d2 || !bytes.Equal(s1, s2) {
+			t.Fatalf("merged state not deterministic (err %v): %s vs %s", err, d1, d2)
+		}
 	})
 }

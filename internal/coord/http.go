@@ -4,14 +4,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-
-	"wantraffic/internal/monitor"
 )
 
-// HTTP surface. Mount adds the coordinator's routes to a monitor
-// server's options (wancoord builds its own monitor.Options and
-// calls it), so /metrics, /healthz and /events come for free and the
-// server's token guards the mutating routes:
+// HTTP surface. wancoord mounts Handlers on its monitor server, so
+// /metrics, /healthz and /events come for free and the server's token
+// guard wraps the mutating routes:
 //
 //	POST /v1/upload    worker state transfer (guarded)
 //	GET  /v1/results   combined results JSON (open)
@@ -23,8 +20,8 @@ import (
 const maxUploadBytes = 16 << 20
 
 // Handlers returns the coordinator's route map. Mutating routes are
-// wrapped with guard when one is supplied (Mount passes the monitor
-// token check); pass nil to leave them open.
+// wrapped with guard when one is supplied (wancoord passes the monitor
+// server's Guard); pass nil to leave them open.
 func (c *Coordinator) Handlers(guard func(http.Handler) http.Handler) map[string]http.Handler {
 	if guard == nil {
 		guard = func(h http.Handler) http.Handler { return h }
@@ -34,27 +31,6 @@ func (c *Coordinator) Handlers(guard func(http.Handler) http.Handler) map[string
 		"/v1/results":  http.HandlerFunc(c.handleResults),
 		"/v1/state":    http.HandlerFunc(c.handleState),
 		"/v1/snapshot": guard(http.HandlerFunc(c.handleSnapshot)),
-	}
-}
-
-// Mount attaches the coordinator to a monitor server's option set:
-// routes land in opts.Handlers and mutating ones inherit opts.Token.
-func (c *Coordinator) Mount(opts *monitor.Options) {
-	guard := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !monitor.CheckToken(r, opts.Token) {
-				c.opts.Metrics.Counter("coord.auth.denied").Inc()
-				http.Error(w, "missing or invalid serve token", http.StatusForbidden)
-				return
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	if opts.Handlers == nil {
-		opts.Handlers = make(map[string]http.Handler)
-	}
-	for path, h := range c.Handlers(guard) {
-		opts.Handlers[path] = h
 	}
 }
 

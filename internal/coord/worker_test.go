@@ -45,12 +45,12 @@ func TestWorkerMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	for i := 0; i < workers; i++ {
 		rep, err := RunWorker(context.Background(), WorkerOptions{
 			ID: wname(i), Shard: i, TracePath: paths[i], Config: cfg,
 			UploadEvery: 300,
-			Client:      &Client{Base: srv.URL, Seed: uint64(i + 1)},
+			Client:      &Client{Base: base, Seed: uint64(i + 1)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -114,10 +114,10 @@ func TestWorkerPacketTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	if _, err := RunWorker(context.Background(), WorkerOptions{
 		ID: "pkt-w", Shard: 0, TracePath: path, Config: stream.Config{Seed: 4},
-		Client: &Client{Base: srv.URL, Seed: 1},
+		Client: &Client{Base: base, Seed: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +150,12 @@ func TestWorkerResumeFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	_, err = RunWorker(context.Background(), WorkerOptions{
 		ID: "w0", Shard: 0, TracePath: paths[0], Config: cfg,
 		UploadEvery: 512, Checkpoint: ckpt,
 		Client: &Client{
-			Base: srv.URL, Seed: 3, Retries: 2, Sleep: func(time.Duration) {},
+			Base: base, Seed: 3, Retries: 2, Sleep: func(time.Duration) {},
 			HTTPClient: &http.Client{Transport: fault.NewRoundTripper(nil, fault.HTTPPlan{CutAfter: 1})},
 		},
 	})
@@ -169,7 +169,7 @@ func TestWorkerResumeFromCheckpoint(t *testing.T) {
 	rep, err := RunWorker(context.Background(), WorkerOptions{
 		ID: "w0", Shard: 0, TracePath: paths[0], Config: cfg,
 		UploadEvery: 512, Checkpoint: ckpt, Resume: true,
-		Client: &Client{Base: srv.URL, Seed: 4, Sleep: func(time.Duration) {}},
+		Client: &Client{Base: base, Seed: 4, Sleep: func(time.Duration) {}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,18 +205,18 @@ func TestWorkerCheckpointMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	if _, err := RunWorker(context.Background(), WorkerOptions{
 		ID: "w0", Shard: 0, TracePath: paths[0], Config: cfg,
 		Checkpoint: ckpt,
-		Client:     &Client{Base: srv.URL, Seed: 1},
+		Client:     &Client{Base: base, Seed: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = RunWorker(context.Background(), WorkerOptions{
 		ID: "w1", Shard: 1, TracePath: paths[1], Config: cfg,
 		Checkpoint: ckpt, Resume: true,
-		Client: &Client{Base: srv.URL, Seed: 2},
+		Client: &Client{Base: base, Seed: 2},
 	})
 	if err == nil {
 		t.Fatal("foreign checkpoint adopted")
@@ -240,11 +240,11 @@ func TestWorkerCorruptCheckpointReingests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newCoordServer(t, c, "")
+	base := newCoordServer(t, c, nil, "")
 	rep, err := RunWorker(context.Background(), WorkerOptions{
 		ID: "w0", Shard: 0, TracePath: paths[0], Config: cfg,
 		Checkpoint: ckpt, Resume: true,
-		Client: &Client{Base: srv.URL, Seed: 1},
+		Client: &Client{Base: base, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

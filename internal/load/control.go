@@ -3,26 +3,18 @@ package load
 import (
 	"encoding/json"
 	"net/http"
-
-	"wantraffic/internal/monitor"
 )
 
 // ControlHandler returns the runtime reshape endpoint, mounted on the
-// monitor server (cmd/wanload wires it at /load/reshape). POST a JSON
-// Reshape body; the daemon applies it at the trace time its run loop
-// has reached and publishes a load_reshape event on the bus. The
-// token guard matches the monitor server's mutating routes: empty
-// token admits every request (the monitor binds loopback by
-// default), otherwise Bearer or X-Wantraffic-Token must match.
-func (d *Daemon) ControlHandler(token string) http.Handler {
+// monitor server (cmd/wanload mounts it at /load/reshape behind the
+// server's token guard). POST a JSON Reshape body; the daemon applies
+// it at the trace time its run loop has reached and publishes a
+// load_reshape event on the bus.
+func (d *Daemon) ControlHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		if !monitor.CheckToken(r, token) {
-			http.Error(w, "missing or bad token", http.StatusForbidden)
 			return
 		}
 		var req Reshape

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -74,31 +73,71 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) Now() time.Time        { return c.t }
 func (c *fakeClock) Sleep(d time.Duration) { c.t = c.t.Add(d) }
 
+// twoRegimeJSON is steady Poisson for 600 trace seconds, then a
+// scheduled reshape to a 2x-rate bursty pattern: the scenario the
+// observatory's regime-change test replays (cmd/wanstream).
+const twoRegimeJSON = `{
+	"name": "two-regime",
+	"kind": "conn",
+	"horizon": 1200,
+	"sources": [
+		{"name": "tel", "proto": "TELNET", "pattern": "poisson", "users": 64, "rate": 30}
+	],
+	"phases": [
+		{"at": 600, "pattern": "bursty", "scale": 2}
+	]
+}`
+
+// twoRegime parses twoRegimeJSON.
+func twoRegime(tb testing.TB) *Scenario {
+	tb.Helper()
+	sc, err := ParseScenario(strings.NewReader(twoRegimeJSON))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sc
+}
+
+// determinismScenarios are the inputs of the byte-identity tests: one
+// without phases, and one whose scheduled reshape must land on the
+// same record at any dilation.
+var determinismScenarios = []struct {
+	name string
+	mk   func(testing.TB) *Scenario
+}{
+	{"base", func(testing.TB) *Scenario { return baseScenario() }},
+	{"two-regime", twoRegime},
+}
+
 // Byte-identity across dilation factors: pacing must never touch
 // record contents.
 func TestDilationInvariance(t *testing.T) {
-	ref, _ := runScenario(t, baseScenario(), Options{Seed: 42})
-	for _, dilate := range []float64{10, 100, 1000} {
-		clk := &fakeClock{t: time.Unix(1000, 0)}
-		out, _ := runScenario(t, baseScenario(), Options{
-			Seed: 42, Dilate: dilate, Sleep: clk.Sleep, Now: clk.Now,
-		})
-		if !bytes.Equal(ref, out) {
-			t.Fatalf("dilate %g: output differs from full-speed run", dilate)
+	for _, sc := range determinismScenarios {
+		ref, _ := runScenario(t, sc.mk(t), Options{Seed: 42})
+		for _, dilate := range []float64{10, 100, 1000} {
+			clk := &fakeClock{t: time.Unix(1000, 0)}
+			out, _ := runScenario(t, sc.mk(t), Options{
+				Seed: 42, Dilate: dilate, Sleep: clk.Sleep, Now: clk.Now,
+			})
+			if !bytes.Equal(ref, out) {
+				t.Fatalf("%s, dilate %g: output differs from full-speed run", sc.name, dilate)
+			}
 		}
 	}
 }
 
 // Byte-identity across two identical runs (fresh daemons).
 func TestRunRepeatability(t *testing.T) {
-	a, _ := runScenario(t, baseScenario(), Options{Seed: 42})
-	b, _ := runScenario(t, baseScenario(), Options{Seed: 42})
-	if !bytes.Equal(a, b) {
-		t.Fatal("two runs with the same seed differ")
-	}
-	c, _ := runScenario(t, baseScenario(), Options{Seed: 43})
-	if bytes.Equal(a, c) {
-		t.Fatal("different seeds produced identical output")
+	for _, sc := range determinismScenarios {
+		a, _ := runScenario(t, sc.mk(t), Options{Seed: 42})
+		b, _ := runScenario(t, sc.mk(t), Options{Seed: 42})
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: two runs with the same seed differ", sc.name)
+		}
+		c, _ := runScenario(t, sc.mk(t), Options{Seed: 43})
+		if bytes.Equal(a, c) {
+			t.Fatalf("%s: different seeds produced identical output", sc.name)
+		}
 	}
 }
 
@@ -399,8 +438,9 @@ func TestParetoDispersion(t *testing.T) {
 	}
 }
 
-// Live reshape over the control endpoint: token guard, validation,
-// and application by a running daemon.
+// Live reshape over the control endpoint, mounted as cmd/wanload
+// mounts it: the monitor's token guard, validation, and application
+// by a running daemon.
 func TestControlEndpoint(t *testing.T) {
 	sc := &Scenario{
 		Name: "ctl", Kind: KindConn, Horizon: 1e9,
@@ -416,11 +456,11 @@ func TestControlEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(d.ControlHandler("sekrit"))
-	defer srv.Close()
+	reg := obs.NewRegistry()
+	url := serveControl(t, d, reg, "sekrit")
 
 	post := func(body, token string) int {
-		req, _ := http.NewRequest(http.MethodPost, srv.URL, strings.NewReader(body))
+		req, _ := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
 		if token != "" {
 			req.Header.Set("X-Wantraffic-Token", token)
 		}
@@ -437,6 +477,9 @@ func TestControlEndpoint(t *testing.T) {
 	}
 	if code := post(`{"scale": 2}`, "wrong"); code != http.StatusForbidden {
 		t.Fatalf("bad-token reshape: status %d, want 403", code)
+	}
+	if got := reg.Counter("monitor.auth.denied").Value(); got != 2 {
+		t.Fatalf("monitor.auth.denied = %d, want 2", got)
 	}
 	if code := post(`{"pattern": "ftpburst"}`, "sekrit"); code != http.StatusBadRequest {
 		t.Fatalf("structured swap: status %d, want 400", code)

@@ -11,9 +11,13 @@
 //	/debug/pprof/*   net/http/pprof profiling handlers
 //	/quitquitquit    POST: ask the host tool to stop lingering
 //
-// The server observes, never participates: handlers only read the
-// registry and subscribe to the bus, so serving cannot change a run's
-// artifact bytes — the same rule the rest of internal/obs follows.
+// A tool mounts its own routes beside these with Server.Handle, and
+// puts the mutating ones behind Server.Guard, the one token check.
+//
+// The monitor's own handlers observe, never participate: they only
+// read the registry and subscribe to the bus, so serving cannot change
+// a run's artifact bytes — the same rule the rest of internal/obs
+// follows.
 // Paxson & Floyd's point that burstiness is invisible unless the
 // process is observed at the right timescale (PAPER.md §VII) is the
 // motivation: a long corpus or ingest run should be watchable at
@@ -51,16 +55,12 @@ type Options struct {
 	// Heartbeat is the SSE keep-alive comment interval (default 15s).
 	Heartbeat time.Duration
 	// Token, when non-empty, guards the mutating endpoints: POST
-	// /quitquitquit requires the shared secret in an
-	// "Authorization: Bearer <token>" or "X-Wantraffic-Token" header.
-	// Unauthenticated requests get 403 and monitor.auth.denied
-	// increments. Read-only endpoints stay open.
+	// /quitquitquit and every route mounted through Guard require the
+	// shared secret in an "Authorization: Bearer <token>" or
+	// "X-Wantraffic-Token" header. Unauthenticated requests get 403
+	// and monitor.auth.denied increments. Read-only endpoints stay
+	// open.
 	Token string
-	// Handlers mounts extra routes on the server's mux (path →
-	// handler) — the hook the distribution coordinator uses to serve
-	// its upload/results API on the same listener as /metrics.
-	// Reserved monitor paths cannot be overridden.
-	Handlers map[string]http.Handler
 	// History, when non-nil, serves the in-process metrics history at
 	// GET /metrics/history. The host owns its scrape schedule and
 	// lifecycle; the server only exposes it.
@@ -72,6 +72,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	ln    net.Listener
+	mux   *http.ServeMux
 	srv   *http.Server
 	start time.Time
 
@@ -103,9 +104,7 @@ func Start(addr string, opts Options) (*Server, error) {
 		closed: make(chan struct{}),
 	}
 	mux := http.NewServeMux()
-	for path, h := range opts.Handlers {
-		mux.Handle(path, h)
-	}
+	s.mux = mux
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	if opts.History != nil {
 		mux.HandleFunc("/metrics/history", opts.History.handleHistory)
@@ -134,6 +133,22 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // URL returns the server's base URL.
 func (s *Server) URL() string { return "http://" + s.Addr() }
+
+// Handle mounts a tool's own route on the running server, next to the
+// monitor's endpoints; wrap a mutating route in Guard. Like
+// http.ServeMux.Handle, it panics if the path is already mounted.
+func (s *Server) Handle(path string, h http.Handler) { s.mux.Handle(path, h) }
+
+// Guard wraps a mutating route in the server's token check (see
+// Options.Token): a request without the token gets 403 and never
+// reaches h.
+func (s *Server) Guard(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if s.authorize(w, r) {
+			h.ServeHTTP(w, r)
+		}
+	})
+}
 
 // QuitRequested is closed when a client POSTs /quitquitquit — the
 // host tool uses it to cut a -serve-linger wait short.
@@ -178,31 +193,20 @@ func (s *Server) handleQuit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if !s.Authorize(w, r) {
+	if !s.authorize(w, r) {
 		return
 	}
 	s.quitOnce.Do(func() { close(s.quit) })
 	fmt.Fprintln(w, "quitting")
 }
 
-// CheckToken reports whether the request carries the shared secret
-// (in an "Authorization: Bearer <token>" or "X-Wantraffic-Token"
-// header). An empty token means no guard: every request passes.
-func CheckToken(r *http.Request, token string) bool {
-	if token == "" {
-		return true
-	}
-	if r.Header.Get("X-Wantraffic-Token") == token {
-		return true
-	}
-	return r.Header.Get("Authorization") == "Bearer "+token
-}
-
-// Authorize enforces the server's token on a mutating request: when
-// the check fails it writes 403, increments monitor.auth.denied, and
-// returns false.
-func (s *Server) Authorize(w http.ResponseWriter, r *http.Request) bool {
-	if CheckToken(r, s.opts.Token) {
+// authorize enforces the server's token on a mutating request: it
+// passes when no token is configured or the request carries it, and
+// otherwise writes 403, increments monitor.auth.denied, and returns
+// false.
+func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
+	tok := s.opts.Token
+	if tok == "" || r.Header.Get("X-Wantraffic-Token") == tok || r.Header.Get("Authorization") == "Bearer "+tok {
 		return true
 	}
 	s.opts.Registry.Counter("monitor.auth.denied").Inc()

@@ -69,13 +69,17 @@ func TestQuitNoTokenStaysOpen(t *testing.T) {
 	}
 }
 
+// TestExtraHandlers mounts a tool's routes on the running server: an
+// open one, and a guarded one that shares /quitquitquit's token check
+// and denial counter.
 func TestExtraHandlers(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("extra ok"))
 	})
-	s := startTestServer(t, Options{Tool: "test", Registry: reg,
-		Handlers: map[string]http.Handler{"/v1/hello": h}})
+	s := startTestServer(t, Options{Tool: "test", Registry: reg, Token: "s3cret"})
+	s.Handle("/v1/hello", h)
+	s.Handle("/v1/poke", s.Guard(h))
 	code, body, _ := get(t, s.URL()+"/v1/hello")
 	if code != http.StatusOK || !strings.Contains(body, "extra ok") {
 		t.Fatalf("extra handler: code %d body %q", code, body)
@@ -83,5 +87,14 @@ func TestExtraHandlers(t *testing.T) {
 	// Monitor endpoints still served.
 	if code, _, _ := get(t, s.URL()+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz alongside extra handlers = %d", code)
+	}
+	if code := post(t, s.URL()+"/v1/poke", nil); code != http.StatusForbidden {
+		t.Fatalf("tokenless POST to a guarded route = %d, want 403", code)
+	}
+	if got := reg.Counter("monitor.auth.denied").Value(); got != 1 {
+		t.Fatalf("monitor.auth.denied = %d, want 1", got)
+	}
+	if code := post(t, s.URL()+"/v1/poke", map[string]string{"X-Wantraffic-Token": "s3cret"}); code != http.StatusOK {
+		t.Fatalf("POST to a guarded route with the token = %d, want 200", code)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 )
 
 // Registry holds named counters, gauges and histograms. A nil
@@ -355,34 +354,4 @@ func formatFloat(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// Text renders the snapshot as an aligned table, one metric per row,
-// sorted by (kind, name).
-func (r *Registry) Text() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var buf strings.Builder
-	w := tabwriter.NewWriter(&buf, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "KIND\tNAME\tVALUE")
-	for _, n := range keys(r.counters) {
-		fmt.Fprintf(w, "counter\t%s\t%d\n", n, r.counters[n].Value())
-	}
-	for _, n := range keys(r.gauges) {
-		fmt.Fprintf(w, "gauge\t%s\t%s\n", n, formatFloat(r.gauges[n].Value()))
-	}
-	for _, n := range keys(r.hists) {
-		h := r.hists[n]
-		mean := 0.0
-		if c := h.Count(); c > 0 {
-			mean = h.Sum() / float64(c)
-		}
-		fmt.Fprintf(w, "histogram\t%s\tcount %d, sum %s, mean %.3g\n",
-			n, h.Count(), formatFloat(h.Sum()), mean)
-	}
-	w.Flush()
-	return buf.String()
 }

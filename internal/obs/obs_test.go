@@ -102,18 +102,6 @@ func TestMetricsJSONGolden(t *testing.T) {
 	checkGolden(t, "metrics.golden.json", raw)
 }
 
-func TestMetricsText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a.count").Inc()
-	r.Histogram("b.lat_ms", nil).Observe(2.5)
-	text := r.Text()
-	for _, want := range []string{"KIND", "counter", "a.count", "histogram", "b.lat_ms", "count 1"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Text() missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestRegistryNames(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("z.h", nil)
@@ -152,7 +140,6 @@ func TestRegistryRace(t *testing.T) {
 					if _, err := r.JSON(); err != nil {
 						t.Error(err)
 					}
-					_ = r.Text()
 					_ = r.Names()
 				}
 			}
@@ -206,9 +193,6 @@ func TestNilSafety(t *testing.T) {
 	reg.Histogram("x", nil).Observe(1)
 	if reg.Names() != nil {
 		t.Error("nil registry Names() should be nil")
-	}
-	if reg.Text() != "" {
-		t.Error("nil registry Text() should be empty")
 	}
 
 	// No tracer in context: StartSpan returns a nil span that no-ops.
