@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +53,52 @@ func TestListExitsZero(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "fig2") {
 		t.Errorf("-list output missing experiments:\n%s", out.String())
+	}
+}
+
+// TestInstrumentedRunExports: a short engine run exports a Chrome
+// trace holding the run, job and attempt spans, and a metrics
+// snapshot counting the one job that succeeded.
+func TestInstrumentedRunExports(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json")
+	var out, errw bytes.Buffer
+	if err := run([]string{"-exp", "fig2", "-parallel", "-trace-out", tracePath, "-metrics-out", metricsPath}, &out, &errw); err != nil {
+		t.Fatalf("instrumented fig2: %v\n%s", err, errw.String())
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	readJSON(t, tracePath, &tr)
+	names := map[string]bool{}
+	for _, e := range tr.TraceEvents {
+		names[e.Name] = true
+	}
+	for _, want := range []string{"run", "job:fig2", "attempt:1"} {
+		if !names[want] {
+			t.Errorf("trace lacks span %q; has %v", want, names)
+		}
+	}
+	var m struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	readJSON(t, metricsPath, &m)
+	if got := m.Counters["runner.jobs.ok"]; got != 1 {
+		t.Errorf("runner.jobs.ok = %d, want 1 (counters %v)", got, m.Counters)
+	}
+}
+
+// readJSON decodes the JSON file at path into v.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }
 

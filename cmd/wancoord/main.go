@@ -231,36 +231,12 @@ func runSplit(args []string, stdout, stderr io.Writer) error {
 
 	// Record-level round-robin: record i lands in shard i mod n. This
 	// is the decomposition the worker/coordinator determinism contract
-	// is defined against — see DESIGN.md §13.
-	write := func(path string, encode func(io.Writer) error, records int) error {
-		g, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(g)
-		if err := encode(bw); err != nil {
-			g.Close()
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			g.Close()
-			return err
-		}
-		if err := g.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "split: wrote %s (%d records)\n", path, records)
-		fmt.Fprintln(stdout, path)
-		return nil
-	}
-
+	// is defined against — see DESIGN.md §13. Each shard keeps the
+	// input's encoding.
+	var shard func(w io.Writer, i int) (records int, err error)
 	switch kind {
 	case trace.KindConn:
-		read := trace.ReadConnTrace
-		if binary {
-			read = trace.ReadConnTraceBinary
-		}
-		tr, err := read(br)
+		tr, _, err := trace.ReadConnTrace(br, trace.DecodeOptions{})
 		if err != nil {
 			return err
 		}
@@ -272,21 +248,11 @@ func runSplit(args []string, stdout, stderr io.Writer) error {
 			s := shards[i%*n]
 			s.Conns = append(s.Conns, c)
 		}
-		for i, s := range shards {
-			enc := func(w io.Writer) error { return trace.WriteConnTrace(w, s) }
-			if binary {
-				enc = func(w io.Writer) error { return trace.WriteConnTraceBinary(w, s) }
-			}
-			if err := write(fmt.Sprintf("%s%d%s", prefix, i, ext), enc, len(s.Conns)); err != nil {
-				return err
-			}
+		shard = func(w io.Writer, i int) (int, error) {
+			return len(shards[i].Conns), trace.WriteConnTrace(w, shards[i], binary)
 		}
 	case trace.KindPacket:
-		read := trace.ReadPacketTrace
-		if binary {
-			read = trace.ReadPacketTraceBinary
-		}
-		tr, err := read(br)
+		tr, _, err := trace.ReadPacketTrace(br, trace.DecodeOptions{})
 		if err != nil {
 			return err
 		}
@@ -298,17 +264,28 @@ func runSplit(args []string, stdout, stderr io.Writer) error {
 			s := shards[i%*n]
 			s.Packets = append(s.Packets, p)
 		}
-		for i, s := range shards {
-			enc := func(w io.Writer) error { return trace.WritePacketTrace(w, s) }
-			if binary {
-				enc = func(w io.Writer) error { return trace.WritePacketTraceBinary(w, s) }
-			}
-			if err := write(fmt.Sprintf("%s%d%s", prefix, i, ext), enc, len(s.Packets)); err != nil {
-				return err
-			}
+		shard = func(w io.Writer, i int) (int, error) {
+			return len(shards[i].Packets), trace.WritePacketTrace(w, shards[i], binary)
 		}
 	default:
 		return fmt.Errorf("unsupported trace kind %v", kind)
+	}
+	for i := 0; i < *n; i++ {
+		path := fmt.Sprintf("%s%d%s", prefix, i, ext)
+		g, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		records, err := shard(g, i)
+		if err != nil {
+			g.Close()
+			return err
+		}
+		if err := g.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "split: wrote %s (%d records)\n", path, records)
+		fmt.Fprintln(stdout, path)
 	}
 	return nil
 }

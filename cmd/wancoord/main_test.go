@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,16 +54,12 @@ func testConnTrace(n int) *trace.ConnTrace {
 func writeTraceFile(t *testing.T, tr *trace.ConnTrace, binary bool) string {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
+	if err := trace.WriteConnTrace(&buf, tr, binary); err != nil {
+		t.Fatal(err)
+	}
 	ext := ".conn"
 	if binary {
-		err = trace.WriteConnTraceBinary(&buf, tr)
 		ext = ".wct"
-	} else {
-		err = trace.WriteConnTrace(&buf, tr)
-	}
-	if err != nil {
-		t.Fatal(err)
 	}
 	p := filepath.Join(t.TempDir(), "t"+ext)
 	if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
@@ -166,12 +163,7 @@ func TestSplitRoundRobin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var sh *trace.ConnTrace
-				if binary {
-					sh, err = trace.ReadConnTraceBinary(f)
-				} else {
-					sh, err = trace.ReadConnTrace(f)
-				}
+				sh, _, err := trace.ReadConnTrace(f, trace.DecodeOptions{})
 				f.Close()
 				if err != nil {
 					t.Fatalf("shard %d: %v", i, err)
@@ -392,5 +384,94 @@ func TestServeSnapshotRestart(t *testing.T) {
 	}
 	if res.Digest != want {
 		t.Errorf("post-restart digest %s, reference %s", res.Digest, want)
+	}
+}
+
+// TestSplitBinaryShardsPinned pins the binary batch writer's output to
+// literal bytes: split re-encodes each shard through it, so a shard
+// file is a counted header ("WCT1"/"WPT1", name length and name,
+// horizon, record count) followed by the fixed-width records. The
+// input is a streamed binary trace from the streaming encoder, whose
+// own header carries the StreamedCount sentinel instead of a count.
+func TestSplitBinaryShardsPinned(t *testing.T) {
+	conns := []trace.Conn{
+		{Start: 0.5, Duration: 1.25, Proto: trace.Telnet, BytesOrig: 100, BytesResp: 2048, SessionID: 1},
+		{Start: 1.75, Duration: 0.0625, Proto: trace.FTPData, BytesResp: 1 << 20, SessionID: -2},
+		{Start: 3, Duration: 10, Proto: trace.Protocol(42), BytesOrig: 1 << 62, BytesResp: 7},
+	}
+	pkts := []trace.Packet{
+		{Time: 0.25, Size: 512, Proto: trace.Telnet, ConnID: 7},
+		{Time: 0.5, Size: 1460, Proto: trace.FTPData, ConnID: -8},
+		{Time: 1.125, Size: 40, Proto: trace.SMTP, ConnID: 9},
+	}
+	cases := []struct {
+		name   string
+		encode func(w io.Writer) error
+		shards []string // hex of shard 0 and shard 1: header, then one record a line
+	}{
+		{"conn", func(w io.Writer) error {
+			enc, err := trace.NewConnEncoder(w, "pin", 60, true)
+			if err != nil {
+				return err
+			}
+			for _, c := range conns {
+				if err := enc.Write(c); err != nil {
+					return err
+				}
+			}
+			return enc.Flush()
+		}, []string{
+			"57435431030070696e0000000000004e400200000000000000" +
+				"000000000000e03f000000000000f43f01640000000000000000080000000000000100000000000000" +
+				"000000000000084000000000000024402a000000000000004007000000000000000000000000000000",
+			"57435431030070696e0000000000004e400100000000000000" +
+				"000000000000fc3f000000000000b03f0500000000000000000000100000000000feffffffffffffff",
+		}},
+		{"packet", func(w io.Writer) error {
+			enc, err := trace.NewPacketEncoder(w, "pin", 2, true)
+			if err != nil {
+				return err
+			}
+			for _, p := range pkts {
+				if err := enc.Write(p); err != nil {
+					return err
+				}
+			}
+			return enc.Flush()
+		}, []string{
+			"57505431030070696e00000000000000400200000000000000" +
+				"000000000000d03f00020000010700000000000000" +
+				"000000000000f23f28000000060900000000000000",
+			"57505431030070696e00000000000000400100000000000000" +
+				"000000000000e03fb405000005f8ffffffffffffff",
+		}},
+	}
+	for _, tc := range cases {
+		var in bytes.Buffer
+		if err := tc.encode(&in); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.bin")
+		if err := os.WriteFile(path, in.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errw bytes.Buffer
+		if err := run([]string{"split", "-n", "2", "-o", filepath.Join(dir, "sh"), path}, &out, &errw); err != nil {
+			t.Fatalf("%s: split: %v\n%s", tc.name, err, errw.String())
+		}
+		paths := strings.Fields(out.String())
+		if len(paths) != len(tc.shards) {
+			t.Fatalf("%s: split wrote %d shard(s), want %d", tc.name, len(paths), len(tc.shards))
+		}
+		for i, p := range paths {
+			got, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := hex.EncodeToString(got); h != tc.shards[i] {
+				t.Errorf("%s shard %d bytes:\n%s\nwant pinned:\n%s", tc.name, i, h, tc.shards[i])
+			}
+		}
 	}
 }

@@ -60,13 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	); err != nil {
 		return err
 	}
-	writeConn := trace.WriteConnTrace
-	writePkt := trace.WritePacketTrace
-	if *binaryOut {
-		writeConn = trace.WriteConnTraceBinary
-		writePkt = trace.WritePacketTraceBinary
-	}
-
 	if *list {
 		for _, s := range datasets.TableI() {
 			fmt.Fprintf(stdout, "%-12s connection trace, %d days\n", s.Name, s.Days)
@@ -105,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 					tr := datasets.BuildConn(s)
 					sp.SetAttrInt("records", int64(len(tr.Conns)))
 					sp.End()
-					return timedWrite(ctx, func() error { return writeConn(w, tr) })
+					return timedWrite(ctx, func() error { return trace.WriteConnTrace(w, tr, *binaryOut) })
 				}
 			}
 			for _, s := range datasets.TableII() {
@@ -114,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 					tr := datasets.BuildPacket(s)
 					sp.SetAttrInt("records", int64(len(tr.Packets)))
 					sp.End()
-					return timedWrite(ctx, func() error { return writePkt(w, tr) })
+					return timedWrite(ctx, func() error { return trace.WritePacketTrace(w, tr, *binaryOut) })
 				}
 			}
 			return cli.Usagef("unknown dataset %q (try -list)", *dataset)
@@ -124,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			tr := model.FullTelnet(rng, "full-tel", *telnet, *hours*3600)
 			sp.SetAttrInt("records", int64(len(tr.Packets)))
 			sp.End()
-			return timedWrite(ctx, func() error { return writePkt(w, tr) })
+			return timedWrite(ctx, func() error { return trace.WritePacketTrace(w, tr, *binaryOut) })
 		case *ftp > 0:
 			rng := rand.New(rand.NewSource(*seed))
 			_, sp := obs.StartSpan(ctx, "build:ftp")
@@ -133,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			tr.SortByStart()
 			sp.SetAttrInt("records", int64(len(tr.Conns)))
 			sp.End()
-			return timedWrite(ctx, func() error { return writeConn(w, tr) })
+			return timedWrite(ctx, func() error { return trace.WriteConnTrace(w, tr, *binaryOut) })
 		default:
 			return cli.Usagef("nothing to do: pass -dataset, -telnet or -ftp (see -h)")
 		}

@@ -94,11 +94,11 @@ func TestBinaryOutput(t *testing.T) {
 				t.Fatalf("-binary output lacks %s magic: % x", tc.magic, bin[:8])
 			}
 			if tc.name == "conn" {
-				want, err := trace.ReadConnTrace(bytes.NewReader(text))
+				want, _, err := trace.ReadConnTrace(bytes.NewReader(text), trace.DecodeOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := trace.ReadConnTraceBinary(bytes.NewReader(bin))
+				got, _, err := trace.ReadConnTrace(bytes.NewReader(bin), trace.DecodeOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,11 +107,11 @@ func TestBinaryOutput(t *testing.T) {
 						got.Name, len(got.Conns), want.Name, len(want.Conns))
 				}
 			} else {
-				want, err := trace.ReadPacketTrace(bytes.NewReader(text))
+				want, _, err := trace.ReadPacketTrace(bytes.NewReader(text), trace.DecodeOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := trace.ReadPacketTraceBinary(bytes.NewReader(bin))
+				got, _, err := trace.ReadPacketTrace(bytes.NewReader(bin), trace.DecodeOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -76,7 +76,7 @@ func TestEmitsParseableTrace(t *testing.T) {
 	if err := run([]string{"-seed", "42", smallScenario(t)}, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes()))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes()), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatalf("output does not parse as a conn trace: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestDurationOverrideAndReport(t *testing.T) {
 	if err := run([]string{"-seed", "1", "-duration", "30s", "-report", rp, smallScenario(t)}, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes()))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes()), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestBinaryOutput(t *testing.T) {
 	if err := run([]string{"-seed", "42", "-binary", smallScenario(t)}, &bin, &errw); err != nil {
 		t.Fatal(err)
 	}
-	tt, err := trace.ReadConnTrace(bytes.NewReader(text.Bytes()))
+	tt, _, err := trace.ReadConnTrace(bytes.NewReader(text.Bytes()), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := trace.ReadConnTraceBinary(bytes.NewReader(bin.Bytes()))
+	bt, _, err := trace.ReadConnTrace(bytes.NewReader(bin.Bytes()), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatalf("binary output does not parse: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestOutputFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := trace.ReadConnTrace(f); err != nil {
+	if _, _, err := trace.ReadConnTrace(f, trace.DecodeOptions{}); err != nil {
 		t.Fatalf("-o file does not parse: %v", err)
 	}
 }
@@ -191,7 +191,7 @@ func TestPresetScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes()))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes()), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestStdinScenario(t *testing.T) {
 	if err := run([]string{"-seed", "1", "-"}, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes())); err != nil {
+	if _, _, err := trace.ReadConnTrace(bytes.NewReader(out.Bytes()), trace.DecodeOptions{}); err != nil {
 		t.Fatalf("stdin-scenario output does not parse: %v", err)
 	}
 }
@@ -281,7 +281,7 @@ func TestListenStreamsToClient(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	tr, err := trace.ReadConnTrace(bytes.NewReader(data))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(data), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatalf("streamed trace does not parse: %v", err)
 	}

@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		if err := trace.WritePacketTraceBinary(f, agg); err != nil {
+		if err := trace.WritePacketTrace(f, agg, true); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *out)

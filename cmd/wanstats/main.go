@@ -35,7 +35,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"wantraffic/internal/cli"
 	"wantraffic/internal/core"
@@ -88,15 +87,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts := trace.DecodeOptions{Lenient: *lenient, MaxLineBytes: *maxLine,
 		MaxRecords: *maxRecords, Metrics: sess.Metrics}
 
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(10)
-	if err != nil {
-		return fmt.Errorf("reading header: %w", err)
-	}
-
 	ctx := obs.WithTracer(context.Background(), sess.Tracer)
 	_, dspan := obs.StartSpan(ctx, "decode")
-	dec, err := decode(br, string(magic), opts, *interval, *bin, *verbose)
+	dec, err := decode(f, opts, *interval, *bin, *verbose)
 	if err != nil {
 		dspan.End()
 		return err
@@ -165,42 +158,28 @@ type decoded struct {
 	analyze func(w io.Writer) error
 }
 
-// decode auto-detects the trace kind from the header bytes and
-// ingests it under the given options.
-func decode(br *bufio.Reader, magic string, opts trace.DecodeOptions,
-	interval, bin float64, verbose bool) (*decoded, error) {
-	switch {
-	case strings.HasPrefix(magic, "#conntrace"):
-		tr, ds, err := trace.ReadConnTraceWith(br, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &decoded{"conn", len(tr.Conns), tr.Horizon, ds,
-			func(w io.Writer) error { return connReport(w, tr, interval, verbose) }}, nil
-	case strings.HasPrefix(magic, "#pkttrace"):
-		tr, ds, err := trace.ReadPacketTraceWith(br, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &decoded{"packet", len(tr.Packets), tr.Horizon, ds,
-			func(w io.Writer) error { return packetReport(w, tr, bin) }}, nil
-	case strings.HasPrefix(magic, "WCT1"):
-		tr, ds, err := trace.ReadConnTraceBinaryWith(br, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &decoded{"conn", len(tr.Conns), tr.Horizon, ds,
-			func(w io.Writer) error { return connReport(w, tr, interval, verbose) }}, nil
-	case strings.HasPrefix(magic, "WPT1"):
-		tr, ds, err := trace.ReadPacketTraceBinaryWith(br, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &decoded{"packet", len(tr.Packets), tr.Horizon, ds,
-			func(w io.Writer) error { return packetReport(w, tr, bin) }}, nil
-	default:
-		return nil, fmt.Errorf("unrecognized trace header %q", magic)
+// decode ingests a trace of either kind under the given options; the
+// header names the kind.
+func decode(r io.Reader, opts trace.DecodeOptions, interval, bin float64, verbose bool) (*decoded, error) {
+	br := bufio.NewReader(r)
+	kind, _, err := trace.SniffHeader(br)
+	if err != nil {
+		return nil, err
 	}
+	if kind == trace.KindConn {
+		tr, ds, err := trace.ReadConnTrace(br, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &decoded{"conn", len(tr.Conns), tr.Horizon, ds,
+			func(w io.Writer) error { return connReport(w, tr, interval, verbose) }}, nil
+	}
+	tr, ds, err := trace.ReadPacketTrace(br, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &decoded{"packet", len(tr.Packets), tr.Horizon, ds,
+		func(w io.Writer) error { return packetReport(w, tr, bin) }}, nil
 }
 
 // reportDecode surfaces lenient-mode accounting before the analysis.

@@ -215,14 +215,14 @@ func TestBinaryTraceBothModes(t *testing.T) {
 	textPath := filepath.Join(dir, "b.conn")
 	binPath := filepath.Join(dir, "b.wct")
 	var buf bytes.Buffer
-	if err := trace.WriteConnTrace(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(textPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(binPath, buf.Bytes(), 0o644); err != nil {

@@ -152,7 +152,7 @@ func getBody(t *testing.T, url string) []byte {
 // gauges until POST /quitquitquit ends the linger.
 func TestFollowServesLiveTelemetry(t *testing.T) {
 	var tr bytes.Buffer
-	if err := trace.WriteConnTrace(&tr, datasets.Conn("UK")); err != nil {
+	if err := trace.WriteConnTrace(&tr, datasets.Conn("UK"), false); err != nil {
 		t.Fatal(err)
 	}
 	p := filepath.Join(t.TempDir(), "uk.conn")

@@ -223,14 +223,14 @@ func TestBinaryTraceEndToEnd(t *testing.T) {
 	textPath := filepath.Join(dir, "t.conn")
 	binPath := filepath.Join(dir, "t.wct")
 	var buf bytes.Buffer
-	if err := trace.WriteConnTrace(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(textPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(binPath, buf.Bytes(), 0o644); err != nil {
@@ -277,7 +277,7 @@ func TestMultiFileMergeMatchesReference(t *testing.T) {
 	var sketches []*stream.Sketch
 	for i, s := range shards {
 		var buf bytes.Buffer
-		if err := trace.WriteConnTrace(&buf, s); err != nil {
+		if err := trace.WriteConnTrace(&buf, s, false); err != nil {
 			t.Fatal(err)
 		}
 		p := filepath.Join(dir, fmt.Sprintf("shard%d.conn", i))
@@ -350,7 +350,7 @@ func poissonTrace(t *testing.T) string {
 		})
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteConnTrace(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
 	p := filepath.Join(t.TempDir(), "steady.conn")

@@ -68,7 +68,7 @@ func TestWorkerKilledMidRunResumes(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := trace.WriteConnTrace(&buf, tr); err != nil {
+		if err := trace.WriteConnTrace(&buf, tr, false); err != nil {
 			t.Fatal(err)
 		}
 		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.conn", i))

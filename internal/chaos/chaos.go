@@ -121,80 +121,83 @@ func plans(rng *rand.Rand, inputLen int, reg *obs.Registry) []fault.Plan {
 	}
 }
 
+// encoded is one clean trace encoding the scenarios corrupt.
+type encoded struct {
+	name string
+	conn bool // a connection trace, else a packet trace
+	data []byte
+}
+
+// encodings writes both sample traces in both encodings.
+func encodings(ct *trace.ConnTrace, pt *trace.PacketTrace) ([]encoded, error) {
+	var out []encoded
+	for _, binary := range []bool{false, true} {
+		suffix := "-text"
+		if binary {
+			suffix = "-bin"
+		}
+		var conn, pkt bytes.Buffer
+		if err := trace.WriteConnTrace(&conn, ct, binary); err != nil {
+			return nil, err
+		}
+		if err := trace.WritePacketTrace(&pkt, pt, binary); err != nil {
+			return nil, err
+		}
+		out = append(out, encoded{"conn" + suffix, true, conn.Bytes()}, encoded{"pkt" + suffix, false, pkt.Bytes()})
+	}
+	return out, nil
+}
+
+// decode reads a fault-injected input with the reader for its kind and
+// returns how many records the trace holds.
+func decode(in encoded, p fault.Plan, opts trace.DecodeOptions) (int, trace.DecodeStats, error) {
+	r := fault.NewReader(bytes.NewReader(in.data), p)
+	if in.conn {
+		t, stats, err := trace.ReadConnTrace(r, opts)
+		if t == nil {
+			return 0, stats, err
+		}
+		return len(t.Conns), stats, err
+	}
+	t, stats, err := trace.ReadPacketTrace(r, opts)
+	if t == nil {
+		return 0, stats, err
+	}
+	return len(t.Packets), stats, err
+}
+
 // ingestionChaos corrupts encoded traces every way the fault package
 // knows and checks the decode invariants in both modes. Panics are
 // caught and reported as failures, never propagated.
 func ingestionChaos(rep *Report, seed int64, cases int) {
 	rng := rand.New(rand.NewSource(seed))
 	ct, pt := sampleTraces(rng)
-
-	var connText, pktText, connBin, pktBin bytes.Buffer
-	must := func(err error) {
-		if err != nil {
-			rep.failf("encoding clean trace: %v", err)
-		}
-	}
-	must(trace.WriteConnTrace(&connText, ct))
-	must(trace.WritePacketTrace(&pktText, pt))
-	must(trace.WriteConnTraceBinary(&connBin, ct))
-	must(trace.WritePacketTraceBinary(&pktBin, pt))
-
-	type codec struct {
-		name   string
-		data   []byte
-		decode func(p fault.Plan, opts trace.DecodeOptions, data []byte) (kept int, stats trace.DecodeStats, err error)
-	}
-	codecs := []codec{
-		{"conn-text", connText.Bytes(), func(p fault.Plan, opts trace.DecodeOptions, data []byte) (int, trace.DecodeStats, error) {
-			t, stats, err := trace.ReadConnTraceWith(fault.NewReader(bytes.NewReader(data), p), opts)
-			if t == nil {
-				return 0, stats, err
-			}
-			return len(t.Conns), stats, err
-		}},
-		{"pkt-text", pktText.Bytes(), func(p fault.Plan, opts trace.DecodeOptions, data []byte) (int, trace.DecodeStats, error) {
-			t, stats, err := trace.ReadPacketTraceWith(fault.NewReader(bytes.NewReader(data), p), opts)
-			if t == nil {
-				return 0, stats, err
-			}
-			return len(t.Packets), stats, err
-		}},
-		{"conn-bin", connBin.Bytes(), func(p fault.Plan, opts trace.DecodeOptions, data []byte) (int, trace.DecodeStats, error) {
-			t, stats, err := trace.ReadConnTraceBinaryWith(fault.NewReader(bytes.NewReader(data), p), opts)
-			if t == nil {
-				return 0, stats, err
-			}
-			return len(t.Conns), stats, err
-		}},
-		{"pkt-bin", pktBin.Bytes(), func(p fault.Plan, opts trace.DecodeOptions, data []byte) (int, trace.DecodeStats, error) {
-			t, stats, err := trace.ReadPacketTraceBinaryWith(fault.NewReader(bytes.NewReader(data), p), opts)
-			if t == nil {
-				return 0, stats, err
-			}
-			return len(t.Packets), stats, err
-		}},
+	inputs, err := encodings(ct, pt)
+	if err != nil {
+		rep.failf("encoding clean trace: %v", err)
+		return
 	}
 
 	for c := 0; c < cases; c++ {
-		for _, cd := range codecs {
-			for _, plan := range plans(rng, len(cd.data), rep.reg) {
+		for _, in := range inputs {
+			for _, plan := range plans(rng, len(in.data), rep.reg) {
 				rep.Cases++
 				for _, lenient := range []bool{false, true} {
 					rep.Decodes++
 					func() {
 						defer func() {
 							if r := recover(); r != nil {
-								rep.failf("%s seed=%d lenient=%v: decoder panic: %v", cd.name, plan.Seed, lenient, r)
+								rep.failf("%s seed=%d lenient=%v: decoder panic: %v", in.name, plan.Seed, lenient, r)
 							}
 						}()
 						opts := trace.DecodeOptions{Lenient: lenient, MaxRecords: 1 << 20, Metrics: rep.reg}
-						kept, stats, err := cd.decode(plan, opts, cd.data)
+						kept, stats, err := decode(in, plan, opts)
 						if err != nil {
 							return // clean rejection is always acceptable
 						}
 						if lenient && stats.RecordsKept != kept {
 							rep.failf("%s seed=%d: lenient stats claim %d kept, trace holds %d",
-								cd.name, plan.Seed, stats.RecordsKept, kept)
+								in.name, plan.Seed, stats.RecordsKept, kept)
 						}
 					}()
 				}
@@ -202,7 +205,7 @@ func ingestionChaos(rep *Report, seed int64, cases int) {
 		}
 		// Write-side faults: encoders must surface injected errors,
 		// never panic or loop.
-		p := fault.Plan{Seed: rng.Int63(), FailAfter: 1 + rng.Int63n(int64(len(connText.Bytes())))}
+		p := fault.Plan{Seed: rng.Int63(), FailAfter: 1 + rng.Int63n(int64(len(inputs[0].data)))}
 		rep.Cases++
 		func() {
 			defer func() {
@@ -210,7 +213,7 @@ func ingestionChaos(rep *Report, seed int64, cases int) {
 					rep.failf("conn-text encode seed=%d: writer panic: %v", p.Seed, r)
 				}
 			}()
-			if err := trace.WriteConnTrace(fault.NewWriter(&discard{}, p), ct); err == nil {
+			if err := trace.WriteConnTrace(fault.NewWriter(&discard{}, p), ct, false); err == nil {
 				rep.failf("conn-text encode seed=%d: injected write error swallowed", p.Seed)
 			}
 		}()
@@ -227,28 +230,10 @@ func ingestionChaos(rep *Report, seed int64, cases int) {
 func streamChaos(rep *Report, seed int64, cases int) {
 	rng := rand.New(rand.NewSource(seed))
 	ct, pt := sampleTraces(rng)
-
-	var connText, pktText, connBin, pktBin bytes.Buffer
-	if err := trace.WriteConnTrace(&connText, ct); err != nil {
+	inputs, err := encodings(ct, pt)
+	if err != nil {
 		rep.failf("stream: encoding clean trace: %v", err)
-	}
-	if err := trace.WritePacketTrace(&pktText, pt); err != nil {
-		rep.failf("stream: encoding clean trace: %v", err)
-	}
-	if err := trace.WriteConnTraceBinary(&connBin, ct); err != nil {
-		rep.failf("stream: encoding clean trace: %v", err)
-	}
-	if err := trace.WritePacketTraceBinary(&pktBin, pt); err != nil {
-		rep.failf("stream: encoding clean trace: %v", err)
-	}
-	inputs := []struct {
-		name string
-		data []byte
-	}{
-		{"conn-text", connText.Bytes()},
-		{"pkt-text", pktText.Bytes()},
-		{"conn-bin", connBin.Bytes()},
-		{"pkt-bin", pktBin.Bytes()},
+		return
 	}
 
 	for c := 0; c < cases; c++ {

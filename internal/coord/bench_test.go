@@ -53,7 +53,7 @@ func benchShardFiles(b *testing.B, dir string, n int) []string {
 			tr.Conns = append(tr.Conns, conns[j])
 		}
 		var buf bytes.Buffer
-		if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+		if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 			b.Fatal(err)
 		}
 		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.wct", i))

@@ -289,7 +289,7 @@ func (c *Coordinator) Apply(u Upload) (Reply, error) {
 	defer c.mu.Unlock()
 	ent := c.workers[u.Worker]
 	if ent == nil {
-		if err := c.admitLocked(u, sk); err != nil {
+		if err := c.admitLocked(u, sk, nil); err != nil {
 			c.rejected.Inc()
 			return Reply{}, err
 		}
@@ -333,22 +333,36 @@ func (c *Coordinator) Apply(u Upload) (Reply, error) {
 		c.staleRej.Inc()
 		return Reply{Status: StatusStale, Worker: u.Worker, Epoch: ent.last.Epoch, Seq: ent.last.Seq}, nil
 	}
+	if err := c.admitLocked(u, sk, ent); err != nil {
+		// A worker restarted with other sketch settings.
+		c.rejected.Inc()
+		return Reply{}, err
+	}
 	ent.last = u
 	ent.sketch = sk
 	return c.accept(ent, u, now), nil
 }
 
-// admitLocked is the first-contact check a worker's first state
-// passes, from an upload or a snapshot entry: its shard slot is
-// unowned, and its trace kind matches the cohort's. Callers hold the
-// lock.
-func (c *Coordinator) admitLocked(u Upload, sk *stream.Sketch) error {
+// admitLocked is the cohort check every state a coordinator keeps
+// passes, from an upload or a snapshot entry: no other worker owns its
+// shard slot, and its sketch merges with every other worker's latest
+// (the same trace kind, built with the same sketch settings), so
+// Results can always merge the cohort. self is the entry the state
+// replaces, nil for a first contact. It compares settings and folds
+// nothing. Callers hold the lock.
+func (c *Coordinator) admitLocked(u Upload, sk *stream.Sketch, self *workerEntry) error {
 	for id, other := range c.workers {
+		if other == self {
+			continue
+		}
 		if other.last.Shard == u.Shard {
 			return rejectf("shard %d already owned by worker %q", u.Shard, id)
 		}
 		if other.sketch.TraceKind() != sk.TraceKind() {
 			return rejectf("trace kind %q, cohort ingests %q", sk.TraceKind(), other.sketch.TraceKind())
+		}
+		if err := other.sketch.CheckMerge(sk); err != nil {
+			return rejectf("sketch settings differ from worker %q's: %v", id, err)
 		}
 	}
 	return nil
@@ -660,7 +674,7 @@ func (c *Coordinator) restoreSnapshot(path string) error {
 	for _, u := range snap.Workers {
 		sk, err := validate(u)
 		if err == nil {
-			err = c.admitLocked(u, sk)
+			err = c.admitLocked(u, sk, nil)
 		}
 		if err != nil {
 			c.snapshotDropped.Inc()

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func splitTrace(tr *trace.ConnTrace, n int) []*trace.ConnTrace {
 func encodeTrace(t testing.TB, tr *trace.ConnTrace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteConnTrace(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -245,6 +247,70 @@ func TestApplyRejections(t *testing.T) {
 		if !errorsAs(err, &rej) {
 			t.Fatalf("%s: error %v is not a RejectError", tc.name, err)
 		}
+	}
+}
+
+// TestApplyRefusesSketchSettingsMismatch: a state built with other
+// sketch settings than the cohort's would make every merge fail, so
+// Apply refuses it, at first contact and from a restarted worker
+// alike, naming the setting; /v1/results keeps answering 200.
+func TestApplyRefusesSketchSettingsMismatch(t *testing.T) {
+	tr := testTrace(200)
+	base := stream.Config{Seed: 5, Epsilon: 0.005}
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := newCoordServer(t, c, obs.NewRegistry(), "")
+	resultsOK := func(when string) {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/results")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /v1/results answers %s", when, resp.Status)
+		}
+	}
+	if _, err := c.Apply(uploadFor(t, observeConns(t, tr.Conns[:100], 0, base), "w0", 0, 1, 1, false)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  stream.Config
+		want string
+	}{
+		{"eps", stream.Config{Seed: 5, Epsilon: 0.05}, "different eps"},
+		{"reservoir", stream.Config{Seed: 5, ReservoirSize: 64}, "different capacities"},
+		{"window", stream.Config{Seed: 5, WindowWidth: 10}, "window counters with different widths"},
+		{"bin", stream.Config{Seed: 5, AggBinWidth: 2}, "different bin widths"},
+		{"horizon", stream.Config{Seed: 5, Horizon: 7200}, "different horizons"},
+	} {
+		_, err := c.Apply(uploadFor(t, observeConns(t, tr.Conns[100:], 1, tc.cfg), "w1", 1, 1, 1, false))
+		var rej *RejectError
+		if !errorsAs(err, &rej) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: first contact with other settings: %v, want a RejectError naming %q", tc.name, err, tc.want)
+		}
+		resultsOK(tc.name)
+	}
+
+	// A worker the cohort admitted restarts with another ε.
+	if _, err := c.Apply(uploadFor(t, observeConns(t, tr.Conns[100:150], 1, base), "w1", 1, 1, 1, false)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Apply(uploadFor(t, observeConns(t, tr.Conns[100:], 1, stream.Config{Seed: 5, Epsilon: 0.05}), "w1", 1, 2, 1, true))
+	var rej *RejectError
+	if !errorsAs(err, &rej) || !strings.Contains(err.Error(), "different eps") {
+		t.Fatalf("restarted worker with another eps: %v, want a RejectError naming eps", err)
+	}
+	resultsOK("restart")
+	res, err := c.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reporting != 2 || res.Records != 150 {
+		t.Fatalf("cohort after refusals: %d workers, %d records; want 2 and 150", res.Reporting, res.Records)
 	}
 }
 
@@ -462,7 +528,8 @@ type namedSnapshot struct {
 // conflictingSnapshots returns snapshot files whose entries each pass
 // the per-entry checks (digest, restore, record count) but which pair
 // w0, a conn worker on shard 0, with an entry Apply would refuse at
-// first contact: a packet worker, or a second worker on shard 0.
+// first contact: a packet worker, a second worker on shard 0, or a
+// conn worker whose sketch was built with another ε.
 func conflictingSnapshots(tb testing.TB) []namedSnapshot {
 	tb.Helper()
 	cfg := stream.Config{Seed: 3}
@@ -482,6 +549,7 @@ func conflictingSnapshots(tb testing.TB) []namedSnapshot {
 	}{
 		{"conn and packet workers", uploadFor(tb, pkt, "w1", 1, 1, 1, true)},
 		{"two workers on shard 0", uploadFor(tb, observeConns(tb, conns[:100], 0, cfg), "w1", 0, 1, 1, true)},
+		{"conn workers with different eps", uploadFor(tb, observeConns(tb, conns[:100], 1, stream.Config{Seed: 3, Epsilon: 0.05}), "w1", 1, 1, 1, true)},
 	} {
 		raw, err := json.Marshal(snapshotFile{Proto: Proto, Workers: []Upload{w0, second.u}})
 		if err != nil {

@@ -86,7 +86,7 @@ func TestWorkerPacketTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pkt.trace")
 	var buf bytes.Buffer
-	if err := trace.WritePacketTrace(&buf, ptr); err != nil {
+	if err := trace.WritePacketTrace(&buf, ptr, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {

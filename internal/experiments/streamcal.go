@@ -60,7 +60,7 @@ func streamCalConn(ctx context.Context) string {
 	defer phase(ctx, "conn")()
 	tr := datasets.Conn("UK")
 	var buf bytes.Buffer
-	if err := trace.WriteConnTrace(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, false); err != nil {
 		return "conn encode failed: " + err.Error() + "\n"
 	}
 	res, err := stream.Ingest(context.Background(), &buf, trace.DecodeOptions{},
@@ -89,7 +89,7 @@ func streamCalPacket(ctx context.Context) string {
 	defer phase(ctx, "packet")()
 	tr := datasets.Packet("LBL-PKT-1")
 	var buf bytes.Buffer
-	if err := trace.WritePacketTrace(&buf, tr); err != nil {
+	if err := trace.WritePacketTrace(&buf, tr, false); err != nil {
 		return "packet encode failed: " + err.Error() + "\n"
 	}
 	res, err := stream.Ingest(context.Background(), &buf, trace.DecodeOptions{},

@@ -229,7 +229,7 @@ func TestDiurnalShape(t *testing.T) {
 		},
 	}
 	out, _ := runScenario(t, sc, Options{Seed: 11})
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestScheduledPhaseScale(t *testing.T) {
 	if rep.Reshapes != 1 {
 		t.Fatalf("reshapes = %d, want 1", rep.Reshapes)
 	}
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestScheduledPhaseSwap(t *testing.T) {
 	if rep.Reshapes != 1 {
 		t.Fatalf("reshapes = %d, want 1", rep.Reshapes)
 	}
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestStructuredPatterns(t *testing.T) {
 		},
 	}
 	out, rep := runScenario(t, ftp, Options{Seed: 9})
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestStructuredPatterns(t *testing.T) {
 		},
 	}
 	out, _ = runScenario(t, tel, Options{Seed: 9})
-	pt, err := trace.ReadPacketTrace(bytes.NewReader(out))
+	pt, _, err := trace.ReadPacketTrace(bytes.NewReader(out), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestParetoDispersion(t *testing.T) {
 		}
 	}
 	iod := func(out []byte) float64 {
-		pt, err := trace.ReadPacketTrace(bytes.NewReader(out))
+		pt, _, err := trace.ReadPacketTrace(bytes.NewReader(out), trace.DecodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,11 +593,11 @@ func TestUserScale(t *testing.T) {
 func TestBinaryTextParity(t *testing.T) {
 	text, _ := runScenario(t, baseScenario(), Options{Seed: 42})
 	bin, _ := runScenario(t, baseScenario(), Options{Seed: 42, Binary: true})
-	tt, err := trace.ReadConnTrace(bytes.NewReader(text))
+	tt, _, err := trace.ReadConnTrace(bytes.NewReader(text), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := trace.ReadConnTraceBinary(bytes.NewReader(bin))
+	bt, _, err := trace.ReadConnTrace(bytes.NewReader(bin), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +709,7 @@ func TestOutputSorted(t *testing.T) {
 		},
 	}
 	out, _ := runScenario(t, sc, Options{Seed: 13})
-	tr, err := trace.ReadConnTrace(bytes.NewReader(out))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(out), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func BenchmarkPageHinkleyUpdate(b *testing.B) {
 func BenchmarkPipelineIngest(b *testing.B) {
 	tr := &trace.ConnTrace{Name: "bench", Horizon: 2500, Conns: benchConns(50000)}
 	var buf bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
@@ -99,7 +99,7 @@ func BenchmarkPipelineIngest(b *testing.B) {
 func BenchmarkReplayFullSpeed(b *testing.B) {
 	tr := &trace.ConnTrace{Name: "bench", Horizon: 2500, Conns: benchConns(50000)}
 	var buf bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))

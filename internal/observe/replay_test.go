@@ -17,13 +17,7 @@ func swapTrace(t *testing.T, binary bool) []byte {
 	conns := regimeSwapConns(47, 100, 250)
 	tr := &trace.ConnTrace{Name: "swap", Horizon: 250, Conns: conns}
 	var b bytes.Buffer
-	var err error
-	if binary {
-		err = trace.WriteConnTraceBinary(&b, tr)
-	} else {
-		err = trace.WriteConnTrace(&b, tr)
-	}
-	if err != nil {
+	if err := trace.WriteConnTrace(&b, tr, binary); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -213,7 +207,7 @@ func TestReplayFoldsBeforeNextRecord(t *testing.T) {
 		pkts = append(pkts, trace.Packet{Time: 0.2 * float64(i), Size: 40 + i%7, Proto: trace.Telnet, ConnID: int64(i)})
 	}
 	var buf bytes.Buffer
-	if err := trace.WritePacketTrace(&buf, &trace.PacketTrace{Name: "latency", Horizon: 60, Packets: pkts}); err != nil {
+	if err := trace.WritePacketTrace(&buf, &trace.PacketTrace{Name: "latency", Horizon: 60, Packets: pkts}, false); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))

@@ -112,10 +112,21 @@ func (a *AggVar) Merge(other Accumulator) error {
 	if !ok {
 		return kindError(aggVarKind, other)
 	}
+	if err := a.checkMerge(o); err != nil {
+		return err
+	}
+	return a.counts.Merge(o.counts)
+}
+
+// checkMerge is Merge's precondition: equal horizons and bin widths.
+func (a *AggVar) checkMerge(o *AggVar) error {
 	if o.horizon != a.horizon {
 		return fmt.Errorf("stream: merging aggvar sketches with different horizons (%g vs %g)", o.horizon, a.horizon)
 	}
-	return a.counts.Merge(o.counts)
+	if o.counts.width != a.counts.width {
+		return fmt.Errorf("stream: merging aggvar sketches with different bin widths (%g vs %g)", o.counts.width, a.counts.width)
+	}
+	return nil
 }
 
 func (a *AggVar) clone() *AggVar { return &AggVar{counts: a.counts.clone(), horizon: a.horizon} }

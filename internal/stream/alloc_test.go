@@ -99,7 +99,7 @@ func TestAllocSketchObserveBatch(t *testing.T) {
 func TestAllocPipelinePer10k(t *testing.T) {
 	tr := testConnTrace(10000)
 	var buf bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -133,7 +133,7 @@ func TestAllocPipelinePer10k(t *testing.T) {
 func TestAllocScanBatch(t *testing.T) {
 	tr := testConnTrace(4096)
 	var bin bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&bin, tr); err != nil {
+	if err := trace.WriteConnTrace(&bin, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	text := encodeConn(t, tr)
@@ -181,7 +181,7 @@ func scanReady(t *testing.T, data []byte, binary bool) *trace.ConnScanner {
 func TestAllocSourceNext(t *testing.T) {
 	tr := testConnTrace(16384)
 	var bin bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&bin, tr); err != nil {
+	if err := trace.WriteConnTrace(&bin, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

@@ -188,7 +188,7 @@ func TestPipelineBatchedMatchesRecordAtATime(t *testing.T) {
 	tr := testConnTrace(5003) // deliberately not a multiple of any chunk size
 	text := encodeConn(t, tr)
 	var bin bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&bin, tr); err != nil {
+	if err := trace.WriteConnTrace(&bin, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -368,7 +368,7 @@ func TestPipelineLenientMidBatchAccounting(t *testing.T) {
 func TestPipelineBinaryLenientTruncation(t *testing.T) {
 	tr := testConnTrace(1000)
 	var buf bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

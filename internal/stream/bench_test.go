@@ -67,12 +67,12 @@ func benchConnBinary(b *testing.B, n int) []byte {
 	if _, err := io.Copy(&raw, newConnGen(n, 5)); err != nil {
 		b.Fatal(err)
 	}
-	tr, err := trace.ReadConnTrace(bytes.NewReader(raw.Bytes()))
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(raw.Bytes()), trace.DecodeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var bin bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&bin, tr); err != nil {
+	if err := trace.WriteConnTrace(&bin, tr, true); err != nil {
 		b.Fatal(err)
 	}
 	return bin.Bytes()
@@ -167,7 +167,7 @@ func BenchmarkBatchStats(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr, _, err := trace.ReadConnTraceWith(bytes.NewReader(data), trace.DecodeOptions{})
+				tr, _, err := trace.ReadConnTrace(bytes.NewReader(data), trace.DecodeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -20,7 +20,7 @@ func TestPipelineBatchUnderFaults(t *testing.T) {
 	tr := testConnTrace(2000)
 	text := encodeConn(t, tr)
 	var bin bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&bin, tr); err != nil {
+	if err := trace.WriteConnTrace(&bin, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	plans := []struct {

@@ -206,6 +206,14 @@ func (g *GK) Quantile(p float64) float64 {
 	return g.tuples[len(g.tuples)-1].V
 }
 
+// checkMerge is Merge's precondition: equal ε.
+func (g *GK) checkMerge(o *GK) error {
+	if o.eps != g.eps {
+		return fmt.Errorf("stream: merging gk sketches with different eps (%g vs %g)", o.eps, g.eps)
+	}
+	return nil
+}
+
 // Merge combines another GK summary. The receiver's ε must equal the
 // other's; the merged guarantee weakens to 2ε (see the type comment).
 func (g *GK) Merge(other Accumulator) error {
@@ -213,8 +221,8 @@ func (g *GK) Merge(other Accumulator) error {
 	if !ok {
 		return kindError(gkKind, other)
 	}
-	if o.eps != g.eps {
-		return fmt.Errorf("stream: merging gk sketches with different eps (%g vs %g)", o.eps, g.eps)
+	if err := g.checkMerge(o); err != nil {
+		return err
 	}
 	// Self-merge must observe the state before mutation.
 	if o == g {

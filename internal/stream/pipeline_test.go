@@ -33,7 +33,7 @@ func testConnTrace(n int) *trace.ConnTrace {
 func encodeConn(t *testing.T, tr *trace.ConnTrace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteConnTrace(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -137,7 +137,7 @@ func TestPipelineMatchesBatchStats(t *testing.T) {
 func TestPipelineBinaryAndHeader(t *testing.T) {
 	tr := testConnTrace(3000)
 	var buf bytes.Buffer
-	if err := trace.WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := trace.WriteConnTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Ingest(context.Background(), &buf, trace.DecodeOptions{}, PipelineOptions{})

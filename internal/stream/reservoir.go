@@ -124,6 +124,14 @@ func replayRNG(seed int64, k int, n int64) *rand.Rand {
 // continuation exactness but stay deterministic.
 const maxReplayDraws = 1 << 27
 
+// checkMerge is Merge's precondition: equal capacities.
+func (r *Reservoir) checkMerge(o *Reservoir) error {
+	if o.k != r.k {
+		return fmt.Errorf("stream: merging reservoirs with different capacities (%d vs %d)", o.k, r.k)
+	}
+	return nil
+}
+
 // Merge combines another reservoir of the same capacity: each slot of
 // the merged sample is drawn from parent A with probability nA/(nA+nB)
 // (without replacement within each parent), preserving uniformity
@@ -133,8 +141,8 @@ func (r *Reservoir) Merge(other Accumulator) error {
 	if !ok {
 		return kindError(reservoirKind, other)
 	}
-	if o.k != r.k {
-		return fmt.Errorf("stream: merging reservoirs with different capacities (%d vs %d)", o.k, r.k)
+	if err := r.checkMerge(o); err != nil {
+		return err
 	}
 	if o.n == 0 {
 		return nil

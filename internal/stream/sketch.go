@@ -132,6 +132,15 @@ func (d *Dim) Merge(o *Dim) error {
 	return d.Sample.Merge(o.Sample)
 }
 
+// checkMerge is Merge's precondition: the quantile sketches' ε and the
+// reservoirs' capacities match.
+func (d *Dim) checkMerge(o *Dim) error {
+	if err := d.Quant.checkMerge(o.Quant); err != nil {
+		return err
+	}
+	return d.Sample.checkMerge(o.Sample)
+}
+
 // clone deep-copies the dimension, each accumulator as its Restore
 // would rebuild it from State output.
 func (d *Dim) clone() *Dim {
@@ -329,10 +338,11 @@ func (s *Sketch) ObserveBatch(obs []Obs) {
 	s.aggVar.ObserveMany(times)
 }
 
-// Merge folds another sketch of the same trace kind in. Like every
-// accumulator Merge it is pure but not bitwise associative; use
-// MergeSketches for canonical cross-shard folds.
-func (s *Sketch) Merge(o *Sketch) error {
+// CheckMerge returns the error Merge(o) would fail with, without
+// merging: o is of another trace kind, or was built with other
+// settings (GK ε, reservoir capacity, window width, aggregation bin
+// width or horizon). Nil means Merge succeeds.
+func (s *Sketch) CheckMerge(o *Sketch) error {
 	if o.traceKind != s.traceKind {
 		return fmt.Errorf("stream: cannot merge %s sketch into %s sketch", o.traceKind, s.traceKind)
 	}
@@ -341,7 +351,26 @@ func (s *Sketch) Merge(o *Sketch) error {
 		if !ok {
 			return fmt.Errorf("stream: merge source lacks dimension %q", name)
 		}
-		if err := s.dims[name].Merge(od); err != nil {
+		if err := s.dims[name].checkMerge(od); err != nil {
+			return fmt.Errorf("stream: merging dimension %q: %w", name, err)
+		}
+	}
+	if err := s.arrivals.checkMerge(o.arrivals); err != nil {
+		return err
+	}
+	return s.aggVar.checkMerge(o.aggVar)
+}
+
+// Merge folds another sketch of the same trace kind in. Like every
+// accumulator Merge it is pure but not bitwise associative; use
+// MergeSketches for canonical cross-shard folds. A sketch CheckMerge
+// refuses is refused before anything is folded.
+func (s *Sketch) Merge(o *Sketch) error {
+	if err := s.CheckMerge(o); err != nil {
+		return err
+	}
+	for _, name := range s.DimNames() {
+		if err := s.dims[name].Merge(o.dims[name]); err != nil {
 			return fmt.Errorf("stream: merging dimension %q: %w", name, err)
 		}
 	}

@@ -8,12 +8,12 @@ import (
 )
 
 // Source is the one place trace records become observations. It
-// sniffs a stream's kind (connection or packet) and encoding (text or
-// binary), reads the header when opened, and then yields derived Obs
-// batch by batch. Every consumer — the sharded Session, the
-// distributed worker, the observatory's replayer — reads through it,
-// so arrival time, interarrival gap, volume and protocol are derived
-// identically everywhere.
+// sniffs a stream's kind (connection or packet; the trace scanners
+// tell the encodings apart), reads the header when opened, and then
+// yields derived Obs batch by batch. Every consumer — the sharded
+// Session, the distributed worker, the observatory's replayer — reads
+// through it, so arrival time, interarrival gap, volume and protocol
+// are derived identically everywhere.
 //
 // A Source is not safe for concurrent use.
 type Source struct {
@@ -32,24 +32,16 @@ type Source struct {
 // does not parse is an error here.
 func NewSource(r io.Reader, dopts trace.DecodeOptions) (*Source, error) {
 	br := bufio.NewReader(r) // r itself when it is already a bufio.Reader
-	kind, binary, err := trace.SniffHeader(br)
+	kind, _, err := trace.SniffHeader(br)
 	if err != nil {
 		return nil, err
 	}
 	s := &Source{}
-	switch {
-	case kind == trace.KindConn && binary:
-		s.conns = trace.NewConnBinaryScanner(br, dopts)
-	case kind == trace.KindConn:
+	if kind == trace.KindConn {
 		s.conns = trace.NewConnScanner(br, dopts)
-	case binary:
-		s.pkts = trace.NewPacketBinaryScanner(br, dopts)
-	default:
-		s.pkts = trace.NewPacketScanner(br, dopts)
-	}
-	if s.conns != nil {
 		s.hdr, err = s.conns.Header(), s.conns.Err()
 	} else {
+		s.pkts = trace.NewPacketScanner(br, dopts)
 		s.hdr, err = s.pkts.Header(), s.pkts.Err()
 	}
 	if err != nil {

@@ -37,7 +37,7 @@ type sourceCase struct {
 func directObs(t *testing.T, data []byte, dopts trace.DecodeOptions) ([]Obs, trace.DecodeStats, error) {
 	t.Helper()
 	br := bufio.NewReader(bytes.NewReader(data))
-	kind, binary, err := trace.SniffHeader(br)
+	kind, _, err := trace.SniffHeader(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,6 @@ func directObs(t *testing.T, data []byte, dopts trace.DecodeOptions) ([]Obs, tra
 	}
 	if kind == trace.KindConn {
 		sc := trace.NewConnScanner(br, dopts)
-		if binary {
-			sc = trace.NewConnBinaryScanner(br, dopts)
-		}
 		for sc.Scan() {
 			c := sc.Conn()
 			add(Obs{Time: c.Start, Value: float64(c.BytesOrig + c.BytesResp), Duration: c.Duration, Proto: c.Proto})
@@ -60,9 +57,6 @@ func directObs(t *testing.T, data []byte, dopts trace.DecodeOptions) ([]Obs, tra
 		return out, sc.Stats(), sc.Err()
 	}
 	sc := trace.NewPacketScanner(br, dopts)
-	if binary {
-		sc = trace.NewPacketBinaryScanner(br, dopts)
-	}
 	for sc.Scan() {
 		p := sc.Packet()
 		add(Obs{Time: p.Time, Value: float64(p.Size), Proto: p.Proto})
@@ -96,10 +90,10 @@ func sourceCases(t *testing.T) []sourceCase {
 		pt.Packets = append(pt.Packets, trace.Packet{Time: 0.1 * float64(i), Size: 40 + i%1400, Proto: protos[i%len(protos)], ConnID: int64(i % 17)})
 	}
 	encodings := map[string]func(*bytes.Buffer) error{
-		"conn-text":  func(b *bytes.Buffer) error { return trace.WriteConnTrace(b, ct) },
-		"conn-bin":   func(b *bytes.Buffer) error { return trace.WriteConnTraceBinary(b, ct) },
-		"pkt-text":   func(b *bytes.Buffer) error { return trace.WritePacketTrace(b, pt) },
-		"pkt-binary": func(b *bytes.Buffer) error { return trace.WritePacketTraceBinary(b, pt) },
+		"conn-text":  func(b *bytes.Buffer) error { return trace.WriteConnTrace(b, ct, false) },
+		"conn-bin":   func(b *bytes.Buffer) error { return trace.WriteConnTrace(b, ct, true) },
+		"pkt-text":   func(b *bytes.Buffer) error { return trace.WritePacketTrace(b, pt, false) },
+		"pkt-binary": func(b *bytes.Buffer) error { return trace.WritePacketTrace(b, pt, true) },
 	}
 	var cases []sourceCase
 	for _, name := range []string{"conn-text", "conn-bin", "pkt-text", "pkt-binary"} {

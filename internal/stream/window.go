@@ -153,6 +153,14 @@ func (w *WindowCounter) Lag1() float64 {
 	return num / den
 }
 
+// checkMerge is Merge's precondition: equal widths.
+func (w *WindowCounter) checkMerge(o *WindowCounter) error {
+	if o.width != w.width {
+		return fmt.Errorf("stream: merging window counters with different widths (%g vs %g)", o.width, w.width)
+	}
+	return nil
+}
+
 // Merge adds another counter's windows element-wise. Widths must
 // match.
 func (w *WindowCounter) Merge(other Accumulator) error {
@@ -160,8 +168,8 @@ func (w *WindowCounter) Merge(other Accumulator) error {
 	if !ok {
 		return kindError(windowKind, other)
 	}
-	if o.width != w.width {
-		return fmt.Errorf("stream: merging window counters with different widths (%g vs %g)", o.width, w.width)
+	if err := w.checkMerge(o); err != nil {
+		return err
 	}
 	ocounts := o.counts
 	if o == w {

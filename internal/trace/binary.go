@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -18,6 +17,9 @@ import (
 //	count uint64, then fixed-width records
 //
 // All integers are little-endian; floats are IEEE-754 bits.
+// WriteConnTrace and WritePacketTrace fill count with the record
+// count; the streaming encoders, which do not know it, write
+// StreamedCount. The readers decode both.
 
 var (
 	connMagic   = [4]byte{'W', 'C', 'T', '1'}
@@ -65,24 +67,13 @@ func readPipelineBlock(r io.Reader) (string, error) {
 	return string(id), nil
 }
 
-// WriteConnTraceBinary encodes a connection trace in the binary format.
-func WriteConnTraceBinary(w io.Writer, t *ConnTrace) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, connMagic, t.Name, t.Horizon, uint64(len(t.Conns))); err != nil {
-		return err
-	}
-	for _, c := range t.Conns {
-		var rec [41]byte
-		putConnRecord(rec[:], c)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+// Record widths of the two fixed layouts.
+const (
+	connRecordSize   = 41
+	packetRecordSize = 21
+)
 
-// putConnRecord encodes one Conn into the 41-byte fixed layout; shared
-// by the batch writer and the streaming ConnEncoder.
+// putConnRecord encodes one Conn into the 41-byte fixed layout.
 func putConnRecord(rec []byte, c Conn) {
 	binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(c.Start))
 	binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(c.Duration))
@@ -92,28 +83,8 @@ func putConnRecord(rec []byte, c Conn) {
 	binary.LittleEndian.PutUint64(rec[33:], uint64(c.SessionID))
 }
 
-// ReadConnTraceBinary decodes a binary connection trace in strict
-// mode: a truncated record stream aborts the decode.
-func ReadConnTraceBinary(r io.Reader) (*ConnTrace, error) {
-	t, _, err := ReadConnTraceBinaryWith(r, DecodeOptions{})
-	return t, err
-}
-
-// ReadConnTraceBinaryWith decodes a binary connection trace under the
-// given options. In lenient mode a stream that ends before the
-// header's record count is satisfied yields the records that did
-// decode, with the shortfall accounted in DecodeStats; header errors
-// abort in both modes. It materializes NewConnBinaryScanner's records.
-func ReadConnTraceBinaryWith(r io.Reader, opts DecodeOptions) (*ConnTrace, DecodeStats, error) {
-	hdr, conns, stats, err := readAll(&NewConnBinaryScanner(r, opts).scanner)
-	if err != nil {
-		return nil, stats, err
-	}
-	return &ConnTrace{Name: hdr.Name, Horizon: hdr.Horizon, Conns: conns}, stats, nil
-}
-
-// connRecordLayout is the fixed-width binary encoding of one Conn.
-var connRecordLayout = binaryRecord[Conn]{size: 41, decode: func(rec []byte) Conn {
+// decodeConnRecord inverts putConnRecord.
+func decodeConnRecord(rec []byte) Conn {
 	return Conn{
 		Start:     math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
 		Duration:  math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
@@ -122,26 +93,9 @@ var connRecordLayout = binaryRecord[Conn]{size: 41, decode: func(rec []byte) Con
 		BytesResp: int64(binary.LittleEndian.Uint64(rec[25:])),
 		SessionID: int64(binary.LittleEndian.Uint64(rec[33:])),
 	}
-}}
-
-// WritePacketTraceBinary encodes a packet trace in the binary format.
-func WritePacketTraceBinary(w io.Writer, t *PacketTrace) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, packetMagic, t.Name, t.Horizon, uint64(len(t.Packets))); err != nil {
-		return err
-	}
-	for _, p := range t.Packets {
-		var rec [21]byte
-		putPacketRecord(rec[:], p)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
-// putPacketRecord encodes one Packet into the 21-byte fixed layout;
-// shared by the batch writer and the streaming PacketEncoder.
+// putPacketRecord encodes one Packet into the 21-byte fixed layout.
 func putPacketRecord(rec []byte, p Packet) {
 	binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(p.Time))
 	binary.LittleEndian.PutUint32(rec[8:], uint32(p.Size))
@@ -149,33 +103,15 @@ func putPacketRecord(rec []byte, p Packet) {
 	binary.LittleEndian.PutUint64(rec[13:], uint64(p.ConnID))
 }
 
-// ReadPacketTraceBinary decodes a binary packet trace in strict mode:
-// a truncated record stream aborts the decode.
-func ReadPacketTraceBinary(r io.Reader) (*PacketTrace, error) {
-	t, _, err := ReadPacketTraceBinaryWith(r, DecodeOptions{})
-	return t, err
-}
-
-// ReadPacketTraceBinaryWith decodes a binary packet trace under the
-// given options; see ReadConnTraceBinaryWith for the lenient
-// contract.
-func ReadPacketTraceBinaryWith(r io.Reader, opts DecodeOptions) (*PacketTrace, DecodeStats, error) {
-	hdr, pkts, stats, err := readAll(&NewPacketBinaryScanner(r, opts).scanner)
-	if err != nil {
-		return nil, stats, err
-	}
-	return &PacketTrace{Name: hdr.Name, Horizon: hdr.Horizon, Packets: pkts}, stats, nil
-}
-
-// packetRecordLayout is the fixed-width binary encoding of one Packet.
-var packetRecordLayout = binaryRecord[Packet]{size: 21, decode: func(rec []byte) Packet {
+// decodePacketRecord inverts putPacketRecord.
+func decodePacketRecord(rec []byte) Packet {
 	return Packet{
 		Time:   math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
 		Size:   int(binary.LittleEndian.Uint32(rec[8:])),
 		Proto:  Protocol(rec[12]),
 		ConnID: int64(binary.LittleEndian.Uint64(rec[13:])),
 	}
-}}
+}
 
 func writeHeader(w io.Writer, magic [4]byte, name string, horizon float64, count uint64) error {
 	if len(name) > math.MaxUint16 {
@@ -209,21 +145,23 @@ func readHeaderWith(r io.Reader, magic [4]byte, opts DecodeOptions) (name string
 	if m != magic {
 		return "", 0, 0, "", fmt.Errorf("trace: bad magic %q (want %q)", m[:], magic[:])
 	}
+	// Errors past the magic are wrapped: a bare io.EOF would read as
+	// the clean end of an empty trace to ScanBatch callers.
 	var lenBuf [2]byte
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
-		return "", 0, 0, "", err
+		return "", 0, 0, "", fmt.Errorf("trace: reading header: %w", err)
 	}
 	nameBytes := make([]byte, binary.LittleEndian.Uint16(lenBuf[:]))
 	if _, err = io.ReadFull(r, nameBytes); err != nil {
-		return "", 0, 0, "", err
+		return "", 0, 0, "", fmt.Errorf("trace: reading header: %w", err)
 	}
 	var buf [8]byte
 	if _, err = io.ReadFull(r, buf[:]); err != nil {
-		return "", 0, 0, "", err
+		return "", 0, 0, "", fmt.Errorf("trace: reading header: %w", err)
 	}
 	horizon = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
 	if _, err = io.ReadFull(r, buf[:]); err != nil {
-		return "", 0, 0, "", err
+		return "", 0, 0, "", fmt.Errorf("trace: reading header: %w", err)
 	}
 	count = binary.LittleEndian.Uint64(buf[:])
 	if count == streamedPipelineCount {

@@ -12,10 +12,10 @@ import (
 func TestBinaryConnRoundTrip(t *testing.T) {
 	tr := sampleConnTrace()
 	var buf bytes.Buffer
-	if err := WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := WriteConnTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadConnTraceBinary(&buf)
+	got, _, err := ReadConnTrace(&buf, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +34,10 @@ func TestBinaryPacketRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WritePacketTraceBinary(&buf, tr); err != nil {
+	if err := WritePacketTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPacketTraceBinary(&buf)
+	got, _, err := ReadPacketTrace(&buf, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestBinaryRandomRoundTripProperty(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := WriteConnTraceBinary(&buf, tr); err != nil {
+		if err := WriteConnTrace(&buf, tr, true); err != nil {
 			return false
 		}
-		got, err := ReadConnTraceBinary(&buf)
+		got, _, err := ReadConnTrace(&buf, DecodeOptions{})
 		if err != nil {
 			return false
 		}
@@ -78,10 +78,10 @@ func TestBinaryRandomRoundTripProperty(t *testing.T) {
 func TestBinaryEmptyTrace(t *testing.T) {
 	tr := &ConnTrace{Name: "", Horizon: 0}
 	var buf bytes.Buffer
-	if err := WriteConnTraceBinary(&buf, tr); err != nil {
+	if err := WriteConnTrace(&buf, tr, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadConnTraceBinary(&buf)
+	got, _, err := ReadConnTrace(&buf, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,30 +92,38 @@ func TestBinaryEmptyTrace(t *testing.T) {
 
 func TestBinaryErrors(t *testing.T) {
 	// Wrong magic.
-	if _, err := ReadConnTraceBinary(strings.NewReader("XXXXgarbage")); err == nil {
+	if _, _, err := ReadConnTrace(strings.NewReader("XXXXgarbage"), DecodeOptions{}); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Cross-kind magic: packet data fed to the conn reader.
 	var buf bytes.Buffer
-	if err := WritePacketTraceBinary(&buf, &PacketTrace{Name: "x"}); err != nil {
+	if err := WritePacketTrace(&buf, &PacketTrace{Name: "x"}, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadConnTraceBinary(&buf); err == nil {
+	if _, _, err := ReadConnTrace(&buf, DecodeOptions{}); err == nil {
 		t.Error("packet magic accepted by conn reader")
 	}
 	// Truncated stream.
 	var buf2 bytes.Buffer
 	tr := sampleConnTrace()
-	if err := WriteConnTraceBinary(&buf2, tr); err != nil {
+	if err := WriteConnTrace(&buf2, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf2.Bytes()[:buf2.Len()-5]
-	if _, err := ReadConnTraceBinary(bytes.NewReader(cut)); err == nil {
+	if _, _, err := ReadConnTrace(bytes.NewReader(cut), DecodeOptions{}); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	// Empty input.
-	if _, err := ReadPacketTraceBinary(strings.NewReader("")); err == nil {
+	if _, _, err := ReadPacketTrace(strings.NewReader(""), DecodeOptions{}); err == nil {
 		t.Error("empty input accepted")
+	}
+	// A header cut right after the magic fails with a bare io.EOF,
+	// which must not read as the clean end of an empty trace.
+	if _, _, err := ReadConnTrace(strings.NewReader("WCT1"), DecodeOptions{}); err == nil {
+		t.Error("conn header cut after the magic accepted")
+	}
+	if _, _, err := ReadPacketTrace(strings.NewReader("WPT1"), DecodeOptions{}); err == nil {
+		t.Error("packet header cut after the magic accepted")
 	}
 }
 
@@ -136,10 +144,10 @@ func TestBinarySmallerThanText(t *testing.T) {
 		})
 	}
 	var txt, bin bytes.Buffer
-	if err := WriteConnTrace(&txt, tr); err != nil {
+	if err := WriteConnTrace(&txt, tr, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteConnTraceBinary(&bin, tr); err != nil {
+	if err := WriteConnTrace(&bin, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	if bin.Len() >= txt.Len() {
@@ -155,10 +163,10 @@ func BenchmarkBinaryConnCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WriteConnTraceBinary(&buf, tr); err != nil {
+		if err := WriteConnTrace(&buf, tr, true); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadConnTraceBinary(&buf); err != nil {
+		if _, _, err := ReadConnTrace(&buf, DecodeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,10 +180,10 @@ func BenchmarkTextConnCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WriteConnTrace(&buf, tr); err != nil {
+		if err := WriteConnTrace(&buf, tr, false); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadConnTrace(&buf); err != nil {
+		if _, _, err := ReadConnTrace(&buf, DecodeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,15 @@ import (
 	"strings"
 )
 
+// Each record kind has two encodings: a line-oriented text format,
+// convenient for inspection and interchange, and the compact
+// fixed-width binary format in binary.go. Which one a stream uses is
+// this package's decision alone. The readers (ReadConnTrace,
+// ReadPacketTrace and the scanners behind them) tell the encodings
+// apart by the binary magic; the writers take a flag and format every
+// record through the streaming encoders (encoder.go), so each wire
+// format has one formatter and one decode loop.
+//
 // The text codec writes one record per line with space-separated
 // fields, preceded by a header line carrying trace metadata:
 //
@@ -18,21 +27,71 @@ import (
 //
 // Lines beginning with '#' after the header are comments.
 
-// WriteConnTrace encodes a connection trace to w through a
-// ConnEncoder, the text codec's one formatter.
-func WriteConnTrace(w io.Writer, t *ConnTrace) error {
-	enc, err := NewConnEncoder(w, t.Name, t.Horizon, false)
-	if err != nil {
-		return err
-	}
-	return writeAll(enc, t.Conns)
+// format describes one record kind in both encodings.
+type format[T any] struct {
+	kind Kind
+	// text is the text header's magic; parse decodes one record line.
+	text  string
+	parse func(f [][]byte, line int) (T, error)
+	// magic opens the binary encoding, whose records are size bytes
+	// wide; decode reads one.
+	magic  [4]byte
+	size   int
+	decode func(rec []byte) T
 }
 
-// ReadConnTrace decodes a connection trace from r in strict mode: the
-// first malformed record aborts the decode.
-func ReadConnTrace(r io.Reader) (*ConnTrace, error) {
-	t, _, err := ReadConnTraceWith(r, DecodeOptions{})
-	return t, err
+var (
+	connFormat = format[Conn]{kind: KindConn, text: "#conntrace", parse: parseConnLine,
+		magic: connMagic, size: connRecordSize, decode: decodeConnRecord}
+	packetFormat = format[Packet]{kind: KindPacket, text: "#pkttrace", parse: parsePacketLine,
+		magic: packetMagic, size: packetRecordSize, decode: decodePacketRecord}
+)
+
+// ReadConnTrace decodes a connection trace in either encoding. Input
+// that starts with the binary magic is decoded as binary, anything
+// else as text. In strict mode (the zero DecodeOptions) the first
+// malformed record aborts the decode; in lenient mode malformed
+// records are skipped and accounted in the returned DecodeStats.
+// Header errors and resource limits (line length, record count) abort
+// in both modes. It materializes NewConnScanner's records; streaming
+// consumers that must not hold the full trace use the scanner
+// directly.
+func ReadConnTrace(r io.Reader, opts DecodeOptions) (*ConnTrace, DecodeStats, error) {
+	hdr, conns, stats, err := readAll(&NewConnScanner(r, opts).scanner)
+	if err != nil {
+		return nil, stats, err
+	}
+	return &ConnTrace{Name: hdr.Name, Horizon: hdr.Horizon, Conns: conns}, stats, nil
+}
+
+// ReadPacketTrace decodes a packet trace in either encoding; see
+// ReadConnTrace for the strict/lenient contract.
+func ReadPacketTrace(r io.Reader, opts DecodeOptions) (*PacketTrace, DecodeStats, error) {
+	hdr, pkts, stats, err := readAll(&NewPacketScanner(r, opts).scanner)
+	if err != nil {
+		return nil, stats, err
+	}
+	return &PacketTrace{Name: hdr.Name, Horizon: hdr.Horizon, Packets: pkts}, stats, nil
+}
+
+// WriteConnTrace encodes a connection trace to w, in the binary format
+// when binary is set and in the text format otherwise. It writes
+// through a ConnEncoder; the binary header carries the record count.
+func WriteConnTrace(w io.Writer, t *ConnTrace, binary bool) error {
+	e := &ConnEncoder{}
+	if err := e.enc.start(w, connFormat.text, connFormat.magic, t.Name, t.Horizon, binary, uint64(len(t.Conns)), EncoderOptions{}); err != nil {
+		return err
+	}
+	return writeAll(e, t.Conns)
+}
+
+// WritePacketTrace encodes a packet trace to w; see WriteConnTrace.
+func WritePacketTrace(w io.Writer, t *PacketTrace, binary bool) error {
+	e := &PacketEncoder{}
+	if err := e.enc.start(w, packetFormat.text, packetFormat.magic, t.Name, t.Horizon, binary, uint64(len(t.Packets)), EncoderOptions{}); err != nil {
+		return err
+	}
+	return writeAll(e, t.Packets)
 }
 
 // parseConnLine decodes one record line of a connection trace. The
@@ -65,7 +124,28 @@ func parseConnLine(f [][]byte, line int) (Conn, error) {
 	return c, nil
 }
 
-// matchProtocol is ParseProtocol over a raw field: the exact
+// parsePacketLine decodes one record line of a packet trace; see
+// parseConnLine for the zero-allocation field handling.
+func parsePacketLine(f [][]byte, line int) (Packet, error) {
+	var p Packet
+	var err error
+	if len(f) != 4 {
+		return p, fmt.Errorf("trace: line %d: want 4 fields, got %d", line, len(f))
+	}
+	if p.Time, err = strconv.ParseFloat(string(f[0]), 64); err != nil {
+		return p, fmt.Errorf("trace: line %d: time: %w", line, err)
+	}
+	if p.Size, err = strconv.Atoi(string(f[1])); err != nil {
+		return p, fmt.Errorf("trace: line %d: size: %w", line, err)
+	}
+	p.Proto = matchProtocol(f[2])
+	if p.ConnID, err = strconv.ParseInt(string(f[3]), 10, 64); err != nil {
+		return p, fmt.Errorf("trace: line %d: connID: %w", line, err)
+	}
+	return p, nil
+}
+
+// matchProtocol is the protocol name table read backwards: the exact
 // upper-case names map to their protocol, everything else to Other.
 // The string(b) comparisons compile to byte compares, so no
 // conversion is allocated.
@@ -100,68 +180,6 @@ func matchProtocol(b []byte) Protocol {
 		}
 	}
 	return Other
-}
-
-// ReadConnTraceWith decodes a connection trace under the given
-// options. In lenient mode malformed records are skipped and
-// accounted in the returned DecodeStats; header errors and resource
-// limits (line length, record count) abort in both modes. It
-// materializes NewConnScanner's records — streaming consumers that
-// must not hold the full trace use the scanner directly.
-func ReadConnTraceWith(r io.Reader, opts DecodeOptions) (*ConnTrace, DecodeStats, error) {
-	hdr, conns, stats, err := readAll(&NewConnScanner(r, opts).scanner)
-	if err != nil {
-		return nil, stats, err
-	}
-	return &ConnTrace{Name: hdr.Name, Horizon: hdr.Horizon, Conns: conns}, stats, nil
-}
-
-// WritePacketTrace encodes a packet trace to w through a
-// PacketEncoder.
-func WritePacketTrace(w io.Writer, t *PacketTrace) error {
-	enc, err := NewPacketEncoder(w, t.Name, t.Horizon, false)
-	if err != nil {
-		return err
-	}
-	return writeAll(enc, t.Packets)
-}
-
-// ReadPacketTrace decodes a packet trace from r in strict mode: the
-// first malformed record aborts the decode.
-func ReadPacketTrace(r io.Reader) (*PacketTrace, error) {
-	t, _, err := ReadPacketTraceWith(r, DecodeOptions{})
-	return t, err
-}
-
-// parsePacketLine decodes one record line of a packet trace; see
-// parseConnLine for the zero-allocation field handling.
-func parsePacketLine(f [][]byte, line int) (Packet, error) {
-	var p Packet
-	var err error
-	if len(f) != 4 {
-		return p, fmt.Errorf("trace: line %d: want 4 fields, got %d", line, len(f))
-	}
-	if p.Time, err = strconv.ParseFloat(string(f[0]), 64); err != nil {
-		return p, fmt.Errorf("trace: line %d: time: %w", line, err)
-	}
-	if p.Size, err = strconv.Atoi(string(f[1])); err != nil {
-		return p, fmt.Errorf("trace: line %d: size: %w", line, err)
-	}
-	p.Proto = matchProtocol(f[2])
-	if p.ConnID, err = strconv.ParseInt(string(f[3]), 10, 64); err != nil {
-		return p, fmt.Errorf("trace: line %d: connID: %w", line, err)
-	}
-	return p, nil
-}
-
-// ReadPacketTraceWith decodes a packet trace under the given options;
-// see ReadConnTraceWith for the strict/lenient contract.
-func ReadPacketTraceWith(r io.Reader, opts DecodeOptions) (*PacketTrace, DecodeStats, error) {
-	hdr, pkts, stats, err := readAll(&NewPacketScanner(r, opts).scanner)
-	if err != nil {
-		return nil, stats, err
-	}
-	return &PacketTrace{Name: hdr.Name, Horizon: hdr.Horizon, Packets: pkts}, stats, nil
 }
 
 // nameField makes a trace name safe for the single-token header field.

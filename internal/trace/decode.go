@@ -11,8 +11,8 @@ import (
 // traces, clock drift, dropped SYN/FIN records (Section II and the
 // Appendix A caveats) — so the readers support two modes:
 //
-//   - strict (the default for ReadConnTrace etc.): any malformed
-//     record aborts the decode with an error, as before;
+//   - strict (the zero DecodeOptions): any malformed record aborts
+//     the decode with an error;
 //   - lenient: malformed records are skipped with per-record error
 //     accounting in DecodeStats, so a partially corrupted trace still
 //     yields its intact records.

@@ -6,16 +6,15 @@ import (
 	"strconv"
 )
 
-// Streaming encoders. The binary batch writers need the whole trace
-// in memory and its record count up front. A live source like
-// cmd/wanload knows neither: it emits records as simulated users
-// produce them, for as long as it runs. The encoders below write the
-// header immediately (binary headers carry the StreamedCount
-// sentinel) and then append one record per Write call, producing
-// output the existing scanners decode. They hold the text codec's only
-// formatter — the text batch writers are writeAll over an encoder —
-// and binary output differs from the batch writer's only in the
-// header's count field.
+// Streaming encoders. A live source like cmd/wanload knows neither
+// the length of its trace nor when it ends: it emits records as
+// simulated users produce them, for as long as it runs. The encoders
+// below write the header immediately (binary headers carry the
+// StreamedCount sentinel) and then append one record per Write call,
+// producing output the scanners decode. They hold each wire format's
+// only formatter: the batch writers (WriteConnTrace, WritePacketTrace)
+// are writeAll over an encoder whose binary header carries the record
+// count instead of the sentinel.
 //
 // Encoders are not safe for concurrent use; errors are sticky.
 
@@ -23,10 +22,10 @@ import (
 // can stamp beyond the basic header.
 type EncoderOptions struct {
 	// PipelineID, when non-empty, is propagated through the trace
-	// framing ("#pipeline <id>" after the text header; a
-	// unit-separator suffix on the binary name field) so every
+	// framing ("#pipeline <id>" after the text header; a block after
+	// the binary header, flagged by its count field) so every
 	// downstream consumer can attribute watermarks and freshness to
-	// this pipeline. Older decoders ignore both encodings.
+	// this pipeline.
 	PipelineID string
 }
 
@@ -46,7 +45,7 @@ func NewConnEncoder(w io.Writer, name string, horizon float64, binary bool) (*Co
 // NewConnEncoderWith is NewConnEncoder plus framing options.
 func NewConnEncoderWith(w io.Writer, name string, horizon float64, binary bool, opts EncoderOptions) (*ConnEncoder, error) {
 	e := &ConnEncoder{}
-	if err := e.enc.start(w, "#conntrace", connMagic, name, horizon, binary, opts); err != nil {
+	if err := e.enc.start(w, connFormat.text, connFormat.magic, name, horizon, binary, StreamedCount, opts); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -59,7 +58,7 @@ func (e *ConnEncoder) Write(c Conn) error {
 	}
 	b := e.enc.scratch[:0]
 	if e.enc.binary {
-		b = b[:41]
+		b = b[:connRecordSize]
 		putConnRecord(b, c)
 	} else {
 		b = strconv.AppendFloat(b, c.Start, 'g', -1, 64)
@@ -99,7 +98,7 @@ func NewPacketEncoder(w io.Writer, name string, horizon float64, binary bool) (*
 // NewPacketEncoderWith is NewPacketEncoder plus framing options.
 func NewPacketEncoderWith(w io.Writer, name string, horizon float64, binary bool, opts EncoderOptions) (*PacketEncoder, error) {
 	e := &PacketEncoder{}
-	if err := e.enc.start(w, "#pkttrace", packetMagic, name, horizon, binary, opts); err != nil {
+	if err := e.enc.start(w, packetFormat.text, packetFormat.magic, name, horizon, binary, StreamedCount, opts); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -112,7 +111,7 @@ func (e *PacketEncoder) Write(p Packet) error {
 	}
 	b := e.enc.scratch[:0]
 	if e.enc.binary {
-		b = b[:21]
+		b = b[:packetRecordSize]
 		putPacketRecord(b, p)
 	} else {
 		b = strconv.AppendFloat(b, p.Time, 'g', -1, 64)
@@ -158,11 +157,14 @@ type encoder struct {
 	scratch [128]byte
 }
 
-func (e *encoder) start(w io.Writer, textMagic string, magic [4]byte, name string, horizon float64, binary bool, opts EncoderOptions) error {
+// start writes the header. count is the binary header's record count:
+// StreamedCount for a stream, the record count for a batch write. A
+// pipeline ID turns StreamedCount into the sentinel that announces the
+// pipeline block.
+func (e *encoder) start(w io.Writer, textMagic string, magic [4]byte, name string, horizon float64, binary bool, count uint64, opts EncoderOptions) error {
 	e.bw = bufio.NewWriter(w)
 	e.binary = binary
 	if binary {
-		count := uint64(StreamedCount)
 		if opts.PipelineID != "" {
 			count = streamedPipelineCount
 		}

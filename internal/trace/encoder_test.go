@@ -46,7 +46,7 @@ func TestConnEncoderTextMatchesBatchWriter(t *testing.T) {
 	conns := append(sampleConns(), Conn{Start: 1e-07, Duration: 1.5e21, Proto: Protocol(42), BytesOrig: -3, BytesResp: 1<<63 - 1, SessionID: -1})
 	tr := &ConnTrace{Name: "enc test", Horizon: 3600, Conns: conns}
 	var batch bytes.Buffer
-	if err := WriteConnTrace(&batch, tr); err != nil {
+	if err := WriteConnTrace(&batch, tr, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := batch.String(); got != pinnedConnText {
@@ -77,7 +77,7 @@ func TestPacketEncoderTextMatchesBatchWriter(t *testing.T) {
 	pkts := append(samplePackets(), Packet{Time: 123456789.0625, Size: 0, Proto: WWW, ConnID: -7})
 	tr := &PacketTrace{Horizon: 0.5, Packets: pkts}
 	var batch bytes.Buffer
-	if err := WritePacketTrace(&batch, tr); err != nil {
+	if err := WritePacketTrace(&batch, tr, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := batch.String(); got != pinnedPacketText {
@@ -159,7 +159,7 @@ func TestPacketEncoderBinaryStreamedRoundTrip(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sc := NewPacketBinaryScanner(bytes.NewReader(buf.Bytes()), DecodeOptions{})
+	sc := NewPacketScanner(bytes.NewReader(buf.Bytes()), DecodeOptions{})
 	var got []Packet
 	for sc.Scan() {
 		got = append(got, sc.Packet())

@@ -29,22 +29,24 @@ var tamperedPacketSeeds = []string{
 	"#pkttrace p 60\n1e999 512 TELNET 1\n",               // time overflow
 }
 
-// fuzzTextInvariants runs the shared strict/lenient checks for a text
-// codec input: strict accepts ⇒ round-trips; lenient never errors on
-// record damage (only header/resource errors) and its stats account
-// for every record line.
-func fuzzConnTextInvariants(t *testing.T, in string) {
-	tr, err := ReadConnTrace(strings.NewReader(in))
+// fuzzConnInvariants runs the strict/lenient checks on one input to
+// ReadConnTrace, whichever encoding it carries: strict accepts ⇒ the
+// trace re-encodes in the input's encoding and reads back; lenient
+// never errors on record damage (only header/resource errors) and its
+// stats account for every record; strict accepts ⇒ lenient skips
+// nothing.
+func fuzzConnInvariants(t *testing.T, in []byte) {
+	tr, _, err := ReadConnTrace(bytes.NewReader(in), DecodeOptions{})
 	if err == nil {
 		var buf bytes.Buffer
-		if err := WriteConnTrace(&buf, tr); err != nil {
+		if err := WriteConnTrace(&buf, tr, bytes.HasPrefix(in, connMagic[:])); err != nil {
 			t.Fatalf("accepted trace failed to encode: %v", err)
 		}
-		if _, err := ReadConnTrace(&buf); err != nil {
+		if _, _, err := ReadConnTrace(&buf, DecodeOptions{}); err != nil {
 			t.Fatalf("re-encoded trace failed to parse: %v", err)
 		}
 	}
-	ltr, stats, lerr := ReadConnTraceWith(strings.NewReader(in), DecodeOptions{Lenient: true})
+	ltr, stats, lerr := ReadConnTrace(bytes.NewReader(in), DecodeOptions{Lenient: true})
 	if lerr != nil {
 		return // header or resource-limit error: allowed in both modes
 	}
@@ -56,9 +58,48 @@ func fuzzConnTextInvariants(t *testing.T, in string) {
 	}
 }
 
-// FuzzReadConnTrace checks the text reader never panics, that any
-// trace it accepts round-trips through the writer, and that lenient
-// mode accounts for every skipped record.
+// fuzzPacketInvariants mirrors fuzzConnInvariants for ReadPacketTrace.
+func fuzzPacketInvariants(t *testing.T, in []byte) {
+	tr, _, err := ReadPacketTrace(bytes.NewReader(in), DecodeOptions{})
+	if err == nil {
+		var buf bytes.Buffer
+		if err := WritePacketTrace(&buf, tr, bytes.HasPrefix(in, packetMagic[:])); err != nil {
+			t.Fatalf("accepted trace failed to encode: %v", err)
+		}
+		if _, _, err := ReadPacketTrace(&buf, DecodeOptions{}); err != nil {
+			t.Fatalf("re-encoded trace failed to parse: %v", err)
+		}
+	}
+	ltr, stats, lerr := ReadPacketTrace(bytes.NewReader(in), DecodeOptions{Lenient: true})
+	if lerr != nil {
+		return
+	}
+	if stats.RecordsKept != len(ltr.Packets) {
+		t.Fatalf("lenient stats claim %d kept, trace holds %d", stats.RecordsKept, len(ltr.Packets))
+	}
+	if err == nil && stats.RecordsSkipped != 0 {
+		t.Fatalf("strict accepted but lenient skipped %d records", stats.RecordsSkipped)
+	}
+}
+
+// encodeSeed is a fuzz seed written by one of the batch writers.
+func encodeSeed(f *testing.F, write func(*bytes.Buffer) error) []byte {
+	f.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// seedPacketTrace is the one-record packet trace the packet fuzz
+// targets start from.
+var seedPacketTrace = &PacketTrace{Name: "p", Horizon: 10, Packets: []Packet{{Time: 1, Size: 2, Proto: SMTP, ConnID: 3}}}
+
+// FuzzReadConnTrace checks ReadConnTrace from a text corpus: it never
+// panics, any trace it accepts round-trips through the writer, and
+// lenient mode accounts for every skipped record. The last two seeds
+// carry the binary encoding's magic and the other kind's.
 func FuzzReadConnTrace(f *testing.F) {
 	f.Add("#conntrace x 3600\n1 2 TELNET 3 4 5\n")
 	f.Add("#conntrace y 10\n")
@@ -67,7 +108,9 @@ func FuzzReadConnTrace(f *testing.F) {
 	for _, s := range tamperedConnSeeds {
 		f.Add(s)
 	}
-	f.Fuzz(fuzzConnTextInvariants)
+	f.Add(string(encodeSeed(f, func(b *bytes.Buffer) error { return WriteConnTrace(b, sampleConnTrace(), true) })))
+	f.Add("#pkttrace p 60\n1 512 TELNET 1\n")
+	f.Fuzz(func(t *testing.T, in string) { fuzzConnInvariants(t, []byte(in)) })
 }
 
 // FuzzReadPacketTrace mirrors FuzzReadConnTrace for packet traces.
@@ -78,28 +121,9 @@ func FuzzReadPacketTrace(f *testing.F) {
 	for _, s := range tamperedPacketSeeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := ReadPacketTrace(strings.NewReader(in))
-		if err == nil {
-			var buf bytes.Buffer
-			if err := WritePacketTrace(&buf, tr); err != nil {
-				t.Fatalf("accepted trace failed to encode: %v", err)
-			}
-			if _, err := ReadPacketTrace(&buf); err != nil {
-				t.Fatalf("re-encoded trace failed to parse: %v", err)
-			}
-		}
-		ltr, stats, lerr := ReadPacketTraceWith(strings.NewReader(in), DecodeOptions{Lenient: true})
-		if lerr != nil {
-			return
-		}
-		if stats.RecordsKept != len(ltr.Packets) {
-			t.Fatalf("lenient stats claim %d kept, trace holds %d", stats.RecordsKept, len(ltr.Packets))
-		}
-		if err == nil && stats.RecordsSkipped != 0 {
-			t.Fatalf("strict accepted but lenient skipped %d records", stats.RecordsSkipped)
-		}
-	})
+	f.Add(string(encodeSeed(f, func(b *bytes.Buffer) error { return WritePacketTrace(b, seedPacketTrace, true) })))
+	f.Add("#conntrace x 3600\n1 2 TELNET 3 4 5\n")
+	f.Fuzz(func(t *testing.T, in string) { fuzzPacketInvariants(t, []byte(in)) })
 }
 
 // TestTextTamperedSeedsPinned pins the tampered corpus outside the
@@ -108,8 +132,8 @@ func FuzzReadPacketTrace(f *testing.F) {
 // leniently.
 func TestTextTamperedSeedsPinned(t *testing.T) {
 	for i, in := range tamperedConnSeeds {
-		_, err := ReadConnTrace(strings.NewReader(in))
-		lt, stats, lerr := ReadConnTraceWith(strings.NewReader(in), DecodeOptions{Lenient: true})
+		_, _, err := ReadConnTrace(strings.NewReader(in), DecodeOptions{})
+		lt, stats, lerr := ReadConnTrace(strings.NewReader(in), DecodeOptions{Lenient: true})
 		headerOnly := strings.Count(in, "\n") <= 1 || !strings.HasPrefix(in, "#conntrace ")
 		switch {
 		case i == 4: // NaN horizon is representable and round-trips
@@ -132,7 +156,7 @@ func TestTextTamperedSeedsPinned(t *testing.T) {
 		}
 	}
 	for i, in := range tamperedPacketSeeds {
-		if _, err := ReadPacketTrace(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadPacketTrace(strings.NewReader(in), DecodeOptions{}); err == nil {
 			t.Errorf("packet seed %d: strict accepted tampered input", i)
 		}
 	}
@@ -168,78 +192,63 @@ func countTampered(magic string, name string) []byte {
 	return out
 }
 
-// FuzzReadConnTraceBinary checks the binary reader is robust against
-// arbitrary input (no panics, no unbounded allocation).
+// FuzzReadConnTraceBinary checks ReadConnTrace from a binary corpus
+// against the invariants of FuzzReadConnTrace, and that no input
+// forces unbounded allocation. The last two seeds carry the other
+// kind's magic and the text encoding's.
 func FuzzReadConnTraceBinary(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteConnTraceBinary(&seed, sampleConnTrace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	seed := encodeSeed(f, func(b *bytes.Buffer) error { return WriteConnTrace(b, sampleConnTrace(), true) })
+	f.Add(seed)
 	f.Add([]byte("WCT1"))
 	f.Add([]byte{})
 	// Zero-length trace: a valid header with no records must round-trip.
-	var empty bytes.Buffer
-	if err := WriteConnTraceBinary(&empty, &ConnTrace{Name: "empty", Horizon: 3600}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
+	f.Add(encodeSeed(f, func(b *bytes.Buffer) error {
+		return WriteConnTrace(b, &ConnTrace{Name: "empty", Horizon: 3600}, true)
+	}))
 	// Truncated records: every torn prefix must error cleanly.
-	for _, cut := range truncations(seed.Bytes()) {
+	for _, cut := range truncations(seed) {
 		f.Add(cut)
 	}
 	f.Add(countTampered("WCT1", "big"))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		tr, err := ReadConnTraceBinary(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteConnTraceBinary(&buf, tr); err != nil {
-			t.Fatalf("accepted trace failed to encode: %v", err)
-		}
-	})
+	f.Add(encodeSeed(f, func(b *bytes.Buffer) error { return WritePacketTrace(b, seedPacketTrace, true) }))
+	f.Add(encodeSeed(f, func(b *bytes.Buffer) error { return WriteConnTrace(b, sampleConnTrace(), false) }))
+	f.Fuzz(fuzzConnInvariants)
 }
 
-// FuzzReadPacketTraceBinary mirrors the above for packet traces.
+// FuzzReadPacketTraceBinary mirrors FuzzReadConnTraceBinary for packet
+// traces.
 func FuzzReadPacketTraceBinary(f *testing.F) {
-	var seed bytes.Buffer
-	pt := &PacketTrace{Name: "p", Horizon: 10, Packets: []Packet{{Time: 1, Size: 2, Proto: SMTP, ConnID: 3}}}
-	if err := WritePacketTraceBinary(&seed, pt); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	seed := encodeSeed(f, func(b *bytes.Buffer) error { return WritePacketTrace(b, seedPacketTrace, true) })
+	f.Add(seed)
 	f.Add([]byte("WPT1\x00\x00"))
-	var empty bytes.Buffer
-	if err := WritePacketTraceBinary(&empty, &PacketTrace{Name: "empty", Horizon: 60}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
-	for _, cut := range truncations(seed.Bytes()) {
+	f.Add(encodeSeed(f, func(b *bytes.Buffer) error {
+		return WritePacketTrace(b, &PacketTrace{Name: "empty", Horizon: 60}, true)
+	}))
+	for _, cut := range truncations(seed) {
 		f.Add(cut)
 	}
 	f.Add(countTampered("WPT1", "big"))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		_, _ = ReadPacketTraceBinary(bytes.NewReader(in))
-	})
+	f.Add(encodeSeed(f, func(b *bytes.Buffer) error { return WriteConnTrace(b, sampleConnTrace(), true) }))
+	f.Add(encodeSeed(f, func(b *bytes.Buffer) error { return WritePacketTrace(b, seedPacketTrace, false) }))
+	f.Fuzz(fuzzPacketInvariants)
 }
 
 // TestBinaryZeroLengthRoundTrip pins the zero-record case outside the
 // fuzz harness: empty traces are legal and must survive both codecs.
 func TestBinaryZeroLengthRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteConnTraceBinary(&buf, &ConnTrace{Name: "none", Horizon: 10}); err != nil {
+	if err := WriteConnTrace(&buf, &ConnTrace{Name: "none", Horizon: 10}, true); err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ReadConnTraceBinary(bytes.NewReader(buf.Bytes()))
+	ct, _, err := ReadConnTrace(bytes.NewReader(buf.Bytes()), DecodeOptions{})
 	if err != nil || ct.Name != "none" || ct.Horizon != 10 || len(ct.Conns) != 0 {
 		t.Fatalf("conn zero-length round trip: %+v, %v", ct, err)
 	}
 	buf.Reset()
-	if err := WritePacketTraceBinary(&buf, &PacketTrace{Name: "none", Horizon: 10}); err != nil {
+	if err := WritePacketTrace(&buf, &PacketTrace{Name: "none", Horizon: 10}, true); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ReadPacketTraceBinary(bytes.NewReader(buf.Bytes()))
+	pt, _, err := ReadPacketTrace(bytes.NewReader(buf.Bytes()), DecodeOptions{})
 	if err != nil || pt.Name != "none" || len(pt.Packets) != 0 {
 		t.Fatalf("packet zero-length round trip: %+v, %v", pt, err)
 	}
@@ -250,19 +259,19 @@ func TestBinaryZeroLengthRoundTrip(t *testing.T) {
 // or over-allocate.
 func TestBinaryTruncatedRecordsError(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteConnTraceBinary(&buf, sampleConnTrace()); err != nil {
+	if err := WriteConnTrace(&buf, sampleConnTrace(), true); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range truncations(full) {
-		if _, err := ReadConnTraceBinary(bytes.NewReader(cut)); err == nil {
+		if _, _, err := ReadConnTrace(bytes.NewReader(cut), DecodeOptions{}); err == nil {
 			t.Errorf("truncation to %d/%d bytes accepted", len(cut), len(full))
 		}
 	}
-	if _, err := ReadConnTraceBinary(bytes.NewReader(countTampered("WCT1", "big"))); err == nil {
+	if _, _, err := ReadConnTrace(bytes.NewReader(countTampered("WCT1", "big")), DecodeOptions{}); err == nil {
 		t.Error("tampered record count accepted")
 	}
-	if _, err := ReadPacketTraceBinary(bytes.NewReader(countTampered("WPT1", "big"))); err == nil {
+	if _, _, err := ReadPacketTrace(bytes.NewReader(countTampered("WPT1", "big")), DecodeOptions{}); err == nil {
 		t.Error("tampered packet record count accepted")
 	}
 }

@@ -21,7 +21,7 @@ oops nan FTPDATA x y z
 `
 
 func TestLenientConnDecodeAccountsEverySkip(t *testing.T) {
-	tr, stats, err := ReadConnTraceWith(strings.NewReader(corruptConnText), DecodeOptions{Lenient: true})
+	tr, stats, err := ReadConnTrace(strings.NewReader(corruptConnText), DecodeOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,14 @@ func TestLenientConnDecodeAccountsEverySkip(t *testing.T) {
 		t.Fatalf("want 3 recorded errors, got %v", stats.Errors)
 	}
 	// Strict mode aborts on the first malformed record.
-	if _, err := ReadConnTrace(strings.NewReader(corruptConnText)); err == nil {
+	if _, _, err := ReadConnTrace(strings.NewReader(corruptConnText), DecodeOptions{}); err == nil {
 		t.Fatal("strict mode accepted malformed input")
 	}
 }
 
 func TestLenientPacketDecode(t *testing.T) {
 	in := "#pkttrace p 60\n1 512 TELNET 1\nbad line here\n2 1e99 SMTP 2\n3 40 NNTP 3\n"
-	tr, stats, err := ReadPacketTraceWith(strings.NewReader(in), DecodeOptions{Lenient: true})
+	tr, stats, err := ReadPacketTrace(strings.NewReader(in), DecodeOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLenientPacketDecode(t *testing.T) {
 
 func TestLenientHeaderErrorsStillAbort(t *testing.T) {
 	for _, in := range []string{"", "#wrongmagic x 1\n1 2 TELNET 3 4 5\n", "#conntrace x notafloat\n"} {
-		if _, _, err := ReadConnTraceWith(strings.NewReader(in), DecodeOptions{Lenient: true}); err == nil {
+		if _, _, err := ReadConnTrace(strings.NewReader(in), DecodeOptions{Lenient: true}); err == nil {
 			t.Errorf("lenient mode accepted broken header %q", in)
 		}
 	}
@@ -68,7 +68,7 @@ func TestMaxErrorsBoundsMessagesNotCounts(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		sb.WriteString("garbage\n")
 	}
-	_, stats, err := ReadConnTraceWith(strings.NewReader(sb.String()), DecodeOptions{Lenient: true, MaxErrors: 5})
+	_, stats, err := ReadConnTrace(strings.NewReader(sb.String()), DecodeOptions{Lenient: true, MaxErrors: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMaxErrorsBoundsMessagesNotCounts(t *testing.T) {
 func TestMaxRecordsAbortsBothModes(t *testing.T) {
 	in := "#conntrace x 10\n1 1 TELNET 1 1 1\n2 1 TELNET 1 1 1\n3 1 TELNET 1 1 1\n"
 	for _, lenient := range []bool{false, true} {
-		_, _, err := ReadConnTraceWith(strings.NewReader(in), DecodeOptions{Lenient: lenient, MaxRecords: 2})
+		_, _, err := ReadConnTrace(strings.NewReader(in), DecodeOptions{Lenient: lenient, MaxRecords: 2})
 		if err == nil || !strings.Contains(err.Error(), "record limit") {
 			t.Errorf("lenient=%v: want record-limit error, got %v", lenient, err)
 		}
@@ -93,7 +93,7 @@ func TestMaxRecordsAbortsBothModes(t *testing.T) {
 func TestMaxLineBytesAbortsBothModes(t *testing.T) {
 	in := "#conntrace x 10\n1 1 TELNET 1 1 " + strings.Repeat("9", 4096) + "\n"
 	for _, lenient := range []bool{false, true} {
-		_, _, err := ReadConnTraceWith(strings.NewReader(in), DecodeOptions{Lenient: lenient, MaxLineBytes: 256})
+		_, _, err := ReadConnTrace(strings.NewReader(in), DecodeOptions{Lenient: lenient, MaxLineBytes: 256})
 		if err == nil || !strings.Contains(err.Error(), "line limit") {
 			t.Errorf("lenient=%v: want line-limit error, got %v", lenient, err)
 		}
@@ -102,7 +102,7 @@ func TestMaxLineBytesAbortsBothModes(t *testing.T) {
 
 func TestLenientBinaryTruncationKeepsPrefix(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteConnTraceBinary(&buf, sampleConnTrace()); err != nil {
+	if err := WriteConnTrace(&buf, sampleConnTrace(), true); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -110,7 +110,7 @@ func TestLenientBinaryTruncationKeepsPrefix(t *testing.T) {
 	// Cut inside the record area: lenient decode keeps whole records
 	// before the cut and accounts for the promised remainder.
 	cut := len(full) - 41 - 7 // drop the last record and tear the one before
-	tr, stats, err := ReadConnTraceBinaryWith(bytes.NewReader(full[:cut]), DecodeOptions{Lenient: true})
+	tr, stats, err := ReadConnTrace(bytes.NewReader(full[:cut]), DecodeOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestLenientBinaryTruncationKeepsPrefix(t *testing.T) {
 		t.Fatalf("accounting hole: kept %d + skipped %d != %d", stats.RecordsKept, stats.RecordsSkipped, total)
 	}
 	// Strict still refuses.
-	if _, err := ReadConnTraceBinary(bytes.NewReader(full[:cut])); err == nil {
+	if _, _, err := ReadConnTrace(bytes.NewReader(full[:cut]), DecodeOptions{}); err == nil {
 		t.Fatal("strict binary decode accepted truncated stream")
 	}
 }
@@ -132,11 +132,11 @@ func TestLenientBinaryPacketTruncation(t *testing.T) {
 		{Time: 2, Size: 4, Proto: NNTP, ConnID: 5},
 	}}
 	var buf bytes.Buffer
-	if err := WritePacketTraceBinary(&buf, pt); err != nil {
+	if err := WritePacketTrace(&buf, pt, true); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Len() - 5
-	tr, stats, err := ReadPacketTraceBinaryWith(bytes.NewReader(buf.Bytes()[:cut]), DecodeOptions{Lenient: true})
+	tr, stats, err := ReadPacketTrace(bytes.NewReader(buf.Bytes()[:cut]), DecodeOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestLenientUnderFaultInjection(t *testing.T) {
 		r := fault.NewReader(strings.NewReader(clean), fault.Plan{
 			Seed: seed, DropLineRate: 0.2, KeepFirstLine: true, ShortReads: true,
 		})
-		tr, stats, err := ReadConnTraceWith(r, DecodeOptions{Lenient: true})
+		tr, stats, err := ReadConnTrace(r, DecodeOptions{Lenient: true})
 		if err != nil {
 			t.Fatalf("seed %d: lenient decode errored on dropped records: %v", seed, err)
 		}

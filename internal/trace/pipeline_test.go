@@ -69,7 +69,7 @@ func TestPipelineIDBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := NewPacketBinaryScanner(bytes.NewReader(buf.Bytes()), DecodeOptions{})
+	sc := NewPacketScanner(bytes.NewReader(buf.Bytes()), DecodeOptions{})
 	hdr := sc.Header()
 	if hdr.PipelineID != "auto-1" {
 		t.Errorf("PipelineID = %q, want auto-1", hdr.PipelineID)

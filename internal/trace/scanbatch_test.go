@@ -31,20 +31,13 @@ func genConnTrace(n int) *ConnTrace {
 func connEncodings(t testing.TB, tr *ConnTrace) map[string][]byte {
 	t.Helper()
 	var text, bin bytes.Buffer
-	if err := WriteConnTrace(&text, tr); err != nil {
+	if err := WriteConnTrace(&text, tr, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteConnTraceBinary(&bin, tr); err != nil {
+	if err := WriteConnTrace(&bin, tr, true); err != nil {
 		t.Fatal(err)
 	}
 	return map[string][]byte{"text": text.Bytes(), "binary": bin.Bytes()}
-}
-
-func newConnScannerFor(data []byte, r io.Reader, opts DecodeOptions) *ConnScanner {
-	if bytes.HasPrefix(data, connMagic[:]) {
-		return NewConnBinaryScanner(r, opts)
-	}
-	return NewConnScanner(r, opts)
 }
 
 // drainBatch pulls everything through ScanBatch with the given buffer
@@ -78,7 +71,7 @@ func drainSingle(sc *ConnScanner) ([]Conn, error) {
 func TestScanBatchMatchesScan(t *testing.T) {
 	tr := genConnTrace(257) // not a multiple of any buffer size below
 	for enc, data := range connEncodings(t, tr) {
-		ref := newConnScannerFor(data, bytes.NewReader(data), DecodeOptions{})
+		ref := NewConnScanner(bytes.NewReader(data), DecodeOptions{})
 		want, werr := drainSingle(ref)
 		if werr != nil {
 			t.Fatalf("%s: reference scan failed: %v", enc, werr)
@@ -89,7 +82,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 				if chunked {
 					r = iotest.OneByteReader(r)
 				}
-				sc := newConnScannerFor(data, r, DecodeOptions{})
+				sc := NewConnScanner(r, DecodeOptions{})
 				got, err := drainBatch(sc, bufSize)
 				if err != io.EOF {
 					t.Fatalf("%s buf=%d chunked=%v: terminal error %v, want io.EOF", enc, bufSize, chunked, err)
@@ -116,7 +109,7 @@ func TestScanBatchPoisonedBuffer(t *testing.T) {
 	tr := genConnTrace(100)
 	poison := Conn{Start: -9e99, Duration: -1, Proto: Protocol(99), BytesOrig: -7, BytesResp: -7, SessionID: -1}
 	for enc, data := range connEncodings(t, tr) {
-		sc := newConnScannerFor(data, bytes.NewReader(data), DecodeOptions{})
+		sc := NewConnScanner(bytes.NewReader(data), DecodeOptions{})
 		buf := make([]Conn, 33)
 		var got []Conn
 		for {
@@ -162,7 +155,7 @@ func TestScanBatchMidBatchTruncation(t *testing.T) {
 	tr := genConnTrace(100)
 	full := connEncodings(t, tr)["binary"]
 	for _, keep := range []int{10, 33, 64, 99} { // records preceding the cut
-		cut := len(full) - (99-keep)*connRecordLayout.size - connRecordLayout.size/2
+		cut := len(full) - (99-keep)*connRecordSize - connRecordSize/2
 		data := full[:cut]
 
 		strict := NewConnBinaryScanner(bytes.NewReader(data), DecodeOptions{})
@@ -237,20 +230,22 @@ func FuzzScanBatch(f *testing.F) {
 	tr := genConnTrace(40)
 	for _, data := range connEncodings(f, tr) {
 		f.Add(data, uint8(16))
-		f.Add(data[:len(data)-connRecordLayout.size/2], uint8(7)) // mid-record cut
+		f.Add(data[:len(data)-connRecordSize/2], uint8(7)) // mid-record cut
 		f.Add(data[:len(data)/2], uint8(1))
 	}
 	for _, s := range tamperedConnSeeds {
 		f.Add([]byte(s), uint8(3))
 	}
 	f.Add(countTampered("WCT1", "huge"), uint8(64))
+	// A header cut right after the magic must fail, not end cleanly.
+	f.Add([]byte("WCT1"), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, bufSize uint8) {
 		size := int(bufSize)%128 + 1
 		for _, lenient := range []bool{false, true} {
 			opts := DecodeOptions{Lenient: lenient, MaxRecords: 1 << 16}
-			single := newConnScannerFor(data, bytes.NewReader(data), opts)
+			single := NewConnScanner(bytes.NewReader(data), opts)
 			wantRecs, wantErr := drainSingle(single)
-			batch := newConnScannerFor(data, bytes.NewReader(data), opts)
+			batch := NewConnScanner(bytes.NewReader(data), opts)
 			gotRecs, gotErr := drainBatch(batch, size)
 			if gotErr == io.EOF {
 				gotErr = nil // drainSingle reports clean EOF as nil

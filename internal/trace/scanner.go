@@ -2,20 +2,25 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// Record-at-a-time decoding. The batch readers (ReadConnTraceWith and
-// friends) materialize the whole trace before returning, which caps
-// analyses at available memory. The scanners below pull one record at
-// a time instead, so a streaming consumer (internal/stream,
-// cmd/wanstream) ingests traces of any length in bounded memory. The
-// batch readers are one generic loop (readAll) over these scanners, so
-// both paths share one decode implementation — the same strict/lenient
-// semantics, resource limits and DecodeStats accounting documented in
-// decode.go.
+// Record-at-a-time decoding. The batch readers (ReadConnTrace,
+// ReadPacketTrace) materialize the whole trace before returning, which
+// caps analyses at available memory. The scanners below pull one
+// record at a time (Scan) or one batch at a time (ScanBatch) instead,
+// so a streaming consumer (internal/stream, cmd/wanstream) ingests
+// traces of any length in bounded memory. The batch readers drain
+// these scanners' ScanBatch (readAll), so both paths share one decode
+// loop per encoding — the same strict/lenient semantics, resource
+// limits and DecodeStats accounting documented in decode.go.
+//
+// NewConnScanner and NewPacketScanner accept either encoding: the
+// header read looks for the kind's binary magic and picks the decoder,
+// so no caller chooses one.
 //
 // Usage:
 //
@@ -68,9 +73,9 @@ type Header struct {
 	Streamed bool
 	// PipelineID is the propagated pipeline identity a live producer
 	// (wanload) stamped into the framing — a "#pipeline <id>" comment
-	// immediately after the text header, or a unit-separator suffix on
-	// the binary name field. Empty for traces without the framing;
-	// consumers use it to label end-to-end freshness gauges.
+	// immediately after the text header, or a block after the binary
+	// header. Empty for traces without the framing; consumers use it
+	// to label end-to-end freshness gauges.
 	PipelineID string
 }
 
@@ -84,11 +89,11 @@ func SniffHeader(br *bufio.Reader) (kind Kind, binary bool, err error) {
 	}
 	s := string(magic)
 	switch {
-	case strings.HasPrefix(s, "#conntrace"):
+	case strings.HasPrefix(s, connFormat.text):
 		return KindConn, false, nil
 	case strings.HasPrefix(s, string(connMagic[:])):
 		return KindConn, true, nil
-	case strings.HasPrefix(s, "#pkttrace"):
+	case strings.HasPrefix(s, packetFormat.text):
 		return KindPacket, false, nil
 	case strings.HasPrefix(s, string(packetMagic[:])):
 		return KindPacket, true, nil
@@ -108,12 +113,13 @@ type scanner[T any] struct {
 	// pull reads the next record. ok=false with nil err is clean EOF.
 	pull func() (rec T, ok bool, err error)
 	// pullMany, when non-nil, decodes up to len(out) records in one
-	// call (the binary chunked fast path). done=true means the stream
-	// ended cleanly after the n decoded records; an error follows the
-	// same per-record semantics as pull, with the n records still
-	// valid. ScanBatch falls back to looping pull when absent.
+	// call: the binary decoder's loop, whose pull is a one-record
+	// pullMany. done=true means the stream ended cleanly after the n
+	// decoded records; an error follows the same per-record semantics
+	// as pull, with the n records still valid. The text decoder has
+	// none, and ScanBatch loops its pull.
 	pullMany func(out []T) (n int, done bool, err error)
-	// start reads the header and installs pull; run lazily once.
+	// start reads the header; run lazily once.
 	start func() error
 
 	started  bool
@@ -241,9 +247,9 @@ func (s *scanner[T]) Stats() DecodeStats {
 	return st
 }
 
-// readAll materializes every record of a scan: the batch readers
-// (Read*With) are this loop over their scanner. A header or decode
-// error discards the records and returns the stats so far.
+// readAll materializes every record of a scan: the batch readers are
+// this loop over their scanner's ScanBatch. A header or decode error
+// discards the records and returns the stats so far.
 func readAll[T any](s *scanner[T]) (Header, []T, DecodeStats, error) {
 	hdr := s.Header()
 	var recs []T
@@ -253,14 +259,25 @@ func readAll[T any](s *scanner[T]) (Header, []T, DecodeStats, error) {
 	if n := capAlloc(hdr.Expected); n > 0 {
 		recs = make([]T, 0, n)
 	}
-	for s.Scan() {
-		recs = append(recs, s.cur)
+	batch := make([]T, readBatch)
+	for {
+		n, err := s.scanBatch(batch)
+		recs = append(recs, batch[:n]...)
+		if err != nil {
+			break
+		}
 	}
+	// ScanBatch stops on io.EOF and on errors alike; Err tells them
+	// apart.
 	if err := s.Err(); err != nil {
 		return hdr, nil, s.Stats(), err
 	}
 	return hdr, recs, s.Stats(), nil
 }
+
+// readBatch is readAll's ScanBatch size: it bounds the binary
+// decoder's chunk buffer at a few kilobytes.
+const readBatch = 256
 
 // capAlloc bounds an untrusted record count for slice preallocation.
 func capAlloc(count uint64) int {
@@ -299,19 +316,54 @@ func (s *PacketScanner) Packet() Packet { return s.cur }
 // slice; see ConnScanner.ScanBatch for the contract.
 func (s *PacketScanner) ScanBatch(buf []Packet) (n int, err error) { return s.scanBatch(buf) }
 
-// NewConnScanner returns a streaming reader for a text connection
-// trace.
+// NewConnScanner returns a streaming reader for a connection trace in
+// either encoding: input that starts with the binary magic is decoded
+// as binary, anything else as text.
 func NewConnScanner(r io.Reader, opts DecodeOptions) *ConnScanner {
 	s := &ConnScanner{}
-	initTextScanner(&s.scanner, r, opts, "#conntrace", KindConn, parseConnLine)
+	initScanner(&s.scanner, r, opts, connFormat)
 	return s
 }
 
-// NewPacketScanner returns a streaming reader for a text packet trace.
+// NewPacketScanner returns a streaming reader for a packet trace in
+// either encoding; see NewConnScanner.
 func NewPacketScanner(r io.Reader, opts DecodeOptions) *PacketScanner {
 	s := &PacketScanner{}
-	initTextScanner(&s.scanner, r, opts, "#pkttrace", KindPacket, parsePacketLine)
+	initScanner(&s.scanner, r, opts, packetFormat)
 	return s
+}
+
+// NewConnBinaryScanner returns a streaming reader for a binary
+// connection trace only: input without the binary magic fails its
+// header read.
+func NewConnBinaryScanner(r io.Reader, opts DecodeOptions) *ConnScanner {
+	s := &ConnScanner{}
+	s.setup(r, opts)
+	s.start = wireBinary(&s.scanner, connFormat)
+	return s
+}
+
+// setup initializes the decode state both encodings share.
+func (s *scanner[T]) setup(r io.Reader, opts DecodeOptions) {
+	s.opts = opts.withDefaults()
+	s.stats = DecodeStats{maxErrors: s.opts.MaxErrors}
+	s.cr = &countReader{r: r}
+}
+
+// initScanner wires a scanner that decodes either of f's encodings.
+// The choice waits for the lazy header read: input that starts with
+// f's binary magic goes to the binary decoder, anything else to the
+// text decoder, whose header check then rejects foreign or damaged
+// input with the text header errors.
+func initScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions, f format[T]) {
+	br := bufio.NewReader(r) // r itself when it already is a bufio.Reader
+	s.setup(br, opts)
+	s.start = func() error {
+		if m, _ := br.Peek(len(f.magic)); bytes.Equal(m, f.magic[:]) {
+			return wireBinary(s, f)()
+		}
+		return wireText(s, f)()
+	}
 }
 
 // asciiSpace classifies the whitespace bytes the record splitter
@@ -354,18 +406,14 @@ func splitFieldsInto(dst [][]byte, b []byte) [][]byte {
 	return dst
 }
 
-// initTextScanner wires the shared text pull loop: header line, then
+// wireText installs the text decoder's pull loop — header line, then
 // one record per line with comments and blanks skipped, under the
-// options' resource limits and leniency. The loop parses fields
-// directly from the bufio.Scanner's byte token — no per-line string
-// or []string allocation — which is what lets ScanBatch feed the
-// streaming pipeline at hardware speed.
-func initTextScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
-	magic string, kind Kind, parse func(f [][]byte, line int) (T, error)) {
-	opts = opts.withDefaults()
-	s.opts = opts
-	s.stats = DecodeStats{maxErrors: opts.MaxErrors}
-	s.cr = &countReader{r: r}
+// options' resource limits and leniency — and returns its header read.
+// The loop parses fields directly from the bufio.Scanner's byte token
+// — no per-line string or []string allocation — which is what lets
+// ScanBatch feed the streaming pipeline at hardware speed.
+func wireText[T any](s *scanner[T], f format[T]) func() error {
+	opts := s.opts
 	sc := bufio.NewScanner(s.cr)
 	// The bufio.Scanner's cap is max(limit, cap(buf)), so the initial
 	// buffer must not exceed the configured line limit.
@@ -381,7 +429,7 @@ func initTextScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 	var pending []byte
 	havePending := false
 	var peekErr error
-	s.start = func() error {
+	start := func() error {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
 				return fmt.Errorf("trace: reading header: %w", err)
@@ -390,11 +438,11 @@ func initTextScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 		}
 		line = 1
 		s.stats.LinesRead++
-		name, horizon, err := parseHeader(sc.Text(), magic)
+		name, horizon, err := parseHeader(sc.Text(), f.text)
 		if err != nil {
 			return err
 		}
-		s.hdr = Header{Kind: kind, Name: name, Horizon: horizon}
+		s.hdr = Header{Kind: f.kind, Name: name, Horizon: horizon}
 		if sc.Scan() {
 			line = 2
 			s.stats.LinesRead++
@@ -424,7 +472,7 @@ func initTextScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 			return rec, false, fmt.Errorf("trace: line %d: record limit %d exceeded", line, opts.MaxRecords), false
 		}
 		fields = splitFieldsInto(fields[:0], text)
-		rec, perr := parse(fields, line)
+		rec, perr := f.parse(fields, line)
 		if perr != nil {
 			if opts.Lenient {
 				s.stats.skip(perr)
@@ -473,6 +521,7 @@ func initTextScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 		}
 		return rec, false, nil
 	}
+	return start
 }
 
 // pipelineComment is the text-framing prefix of the propagated
@@ -493,49 +542,22 @@ func parsePipelineComment(text []byte) (string, bool) {
 	return string(id), true
 }
 
-// NewConnBinaryScanner returns a streaming reader for a binary
-// connection trace.
-func NewConnBinaryScanner(r io.Reader, opts DecodeOptions) *ConnScanner {
-	s := &ConnScanner{}
-	initBinaryScanner(&s.scanner, r, opts, connMagic, KindConn, connRecordLayout)
-	return s
-}
-
-// NewPacketBinaryScanner returns a streaming reader for a binary
-// packet trace.
-func NewPacketBinaryScanner(r io.Reader, opts DecodeOptions) *PacketScanner {
-	s := &PacketScanner{}
-	initBinaryScanner(&s.scanner, r, opts, packetMagic, KindPacket, packetRecordLayout)
-	return s
-}
-
-// binaryRecord describes one fixed-width record layout: its size and
-// field decoding.
-type binaryRecord[T any] struct {
-	size   int
-	decode func(rec []byte) T
-}
-
-// initBinaryScanner wires the shared binary pull loop: header with an
-// up-front record-count limit check, then fixed-width records. In
-// lenient mode a stream that ends before the header's count is
-// satisfied ends the scan cleanly with the shortfall accounted. A
-// StreamedCount header flips the scanner into streamed mode: records
-// run until a clean EOF at a record boundary (a partial final record
-// is an error in strict mode, a single skip in lenient mode), with
-// MaxRecords enforced by probing for trailing data once the budget is
-// spent.
-func initBinaryScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
-	magic [4]byte, kind Kind, layout binaryRecord[T]) {
-	opts = opts.withDefaults()
-	s.opts = opts
-	s.stats = DecodeStats{maxErrors: opts.MaxErrors}
-	s.cr = &countReader{r: r}
+// wireBinary installs the binary decoder — header with an up-front
+// record-count limit check, then fixed-width records — and returns its
+// header read. In lenient mode a stream that ends before the header's
+// count is satisfied ends the scan cleanly with the shortfall
+// accounted. A StreamedCount header flips the scanner into streamed
+// mode: records run until a clean EOF at a record boundary (a partial
+// final record is an error in strict mode, a single skip in lenient
+// mode), with MaxRecords enforced by probing for trailing data once
+// the budget is spent.
+func wireBinary[T any](s *scanner[T], f format[T]) func() error {
+	opts := s.opts
 	br := bufio.NewReader(s.cr)
 	var count, next uint64
 	streamed := false
-	s.start = func() error {
-		name, horizon, c, pipeline, err := readHeaderWith(br, magic, opts)
+	start := func() error {
+		name, horizon, c, pipeline, err := readHeaderWith(br, f.magic, opts)
 		if err != nil {
 			return err
 		}
@@ -544,11 +566,11 @@ func initBinaryScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 			// The record budget becomes the resource limit rather than a
 			// promise; EOF anywhere under it is a clean end.
 			count = uint64(opts.MaxRecords)
-			s.hdr = Header{Kind: kind, Name: name, Horizon: horizon, Binary: true, Streamed: true, PipelineID: pipeline}
+			s.hdr = Header{Kind: f.kind, Name: name, Horizon: horizon, Binary: true, Streamed: true, PipelineID: pipeline}
 			return nil
 		}
 		count = c
-		s.hdr = Header{Kind: kind, Name: name, Horizon: horizon, Binary: true, Expected: c, PipelineID: pipeline}
+		s.hdr = Header{Kind: f.kind, Name: name, Horizon: horizon, Binary: true, Expected: c, PipelineID: pipeline}
 		return nil
 	}
 	// atLimit distinguishes a clean EOF from overflow once a streamed
@@ -582,27 +604,8 @@ func initBinaryScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 		}
 		return false, err
 	}
-	rec := make([]byte, layout.size)
-	s.pull = func() (out T, ok bool, err error) {
-		if next >= count {
-			if streamed {
-				return out, false, atLimit()
-			}
-			return out, false, nil
-		}
-		if _, err := io.ReadFull(br, rec); err != nil {
-			if streamed && err == io.EOF {
-				return out, false, nil
-			}
-			_, err = shortfall(err)
-			return out, false, err
-		}
-		next++
-		s.stats.RecordsKept++
-		return layout.decode(rec), true, nil
-	}
-	// The chunked fast path behind ScanBatch: one ReadFull per batch
-	// instead of one per record. chunk is reused across calls.
+	// The one decode loop: one ReadFull per batch instead of one per
+	// record. chunk is reused across calls.
 	var chunk []byte
 	s.pullMany = func(out []T) (int, bool, error) {
 		if next >= count {
@@ -615,22 +618,22 @@ func initBinaryScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 		if rem := count - next; uint64(k) > rem {
 			k = int(rem)
 		}
-		need := k * layout.size
+		need := k * f.size
 		if cap(chunk) < need {
 			chunk = make([]byte, need)
 		}
 		c := chunk[:need]
 		nread, rerr := io.ReadFull(br, c)
-		complete := nread / layout.size
+		complete := nread / f.size
 		for i := 0; i < complete; i++ {
-			out[i] = layout.decode(c[i*layout.size : (i+1)*layout.size])
+			out[i] = f.decode(c[i*f.size : (i+1)*f.size])
 		}
 		next += uint64(complete)
 		s.stats.RecordsKept += complete
 		if rerr != nil {
-			// Re-derive the error the per-record loop would have hit at
-			// record `next`: ReadFull's aggregate classification calls a
-			// clean record boundary an unexpected EOF, so unwrap to the
+			// Re-derive the error reading record `next` alone would have
+			// hit: ReadFull's aggregate classification calls a clean
+			// record boundary an unexpected EOF, so unwrap to the
 			// underlying error and reclassify against the partial
 			// record's byte count.
 			under := rerr
@@ -638,7 +641,7 @@ func initBinaryScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 				under = io.EOF
 			}
 			perr := under
-			if nread%layout.size != 0 && under == io.EOF {
+			if nread%f.size != 0 && under == io.EOF {
 				perr = io.ErrUnexpectedEOF
 			}
 			if streamed && perr == io.EOF {
@@ -651,4 +654,13 @@ func initBinaryScanner[T any](s *scanner[T], r io.Reader, opts DecodeOptions,
 		// the stream; the next call discovers EOF (or the limit probe).
 		return k, !streamed && next >= count, nil
 	}
+	var one [1]T
+	s.pull = func() (rec T, ok bool, err error) {
+		n, _, err := s.pullMany(one[:])
+		if n == 0 {
+			return rec, false, err
+		}
+		return one[0], true, nil
+	}
+	return start
 }

@@ -48,14 +48,7 @@ func (p Protocol) String() string {
 }
 
 // ParseProtocol inverts String. Unknown names map to Other.
-func ParseProtocol(s string) Protocol {
-	for p, name := range protoNames {
-		if name == s {
-			return p
-		}
-	}
-	return Other
-}
+func ParseProtocol(s string) Protocol { return matchProtocol([]byte(s)) }
 
 // Protocols lists all named protocols in display order.
 func Protocols() []Protocol {

@@ -69,10 +69,10 @@ func TestSortFilterStartTimes(t *testing.T) {
 func TestConnTraceCodecRoundTrip(t *testing.T) {
 	tr := sampleConnTrace()
 	var buf bytes.Buffer
-	if err := WriteConnTrace(&buf, tr); err != nil {
+	if err := WriteConnTrace(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadConnTrace(&buf)
+	got, _, err := ReadConnTrace(&buf, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func TestConnTraceCodecRandomRoundTrip(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := WriteConnTrace(&buf, tr); err != nil {
+		if err := WriteConnTrace(&buf, tr, false); err != nil {
 			return false
 		}
-		got, err := ReadConnTrace(&buf)
+		got, _, err := ReadConnTrace(&buf, DecodeOptions{})
 		if err != nil {
 			return false
 		}
@@ -122,10 +122,10 @@ func TestPacketTraceCodecRoundTrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WritePacketTrace(&buf, tr); err != nil {
+	if err := WritePacketTrace(&buf, tr, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPacketTrace(&buf)
+	got, _, err := ReadPacketTrace(&buf, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +144,21 @@ func TestCodecErrors(t *testing.T) {
 		"bad int":      "#conntrace x 10\n1 2 TELNET x 4 5\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadConnTrace(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadConnTrace(strings.NewReader(in), DecodeOptions{}); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	if _, err := ReadPacketTrace(strings.NewReader("#pkttrace x 10\n1 2 TELNET\n")); err == nil {
+	if _, _, err := ReadPacketTrace(strings.NewReader("#pkttrace x 10\n1 2 TELNET\n"), DecodeOptions{}); err == nil {
 		t.Error("short packet fields: expected error")
 	}
-	if _, err := ReadPacketTrace(strings.NewReader("#pkttrace x 10\n1 zz TELNET 3\n")); err == nil {
+	if _, _, err := ReadPacketTrace(strings.NewReader("#pkttrace x 10\n1 zz TELNET 3\n"), DecodeOptions{}); err == nil {
 		t.Error("bad packet size: expected error")
 	}
 }
 
 func TestCodecSkipsCommentsAndBlanks(t *testing.T) {
 	in := "#conntrace x 10\n# a comment\n\n1 2 TELNET 3 4 5\n"
-	tr, err := ReadConnTrace(strings.NewReader(in))
+	tr, _, err := ReadConnTrace(strings.NewReader(in), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
