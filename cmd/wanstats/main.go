@@ -159,27 +159,35 @@ type decoded struct {
 }
 
 // decode ingests a trace of either kind under the given options; the
-// header names the kind.
+// header names the kind. Every analysis splits the header's horizon
+// into intervals or bins, so a horizon that is not a positive finite
+// number is refused here, for both kinds and both encodings.
 func decode(r io.Reader, opts trace.DecodeOptions, interval, bin float64, verbose bool) (*decoded, error) {
 	br := bufio.NewReader(r)
 	kind, _, err := trace.SniffHeader(br)
 	if err != nil {
 		return nil, err
 	}
+	var dec *decoded
 	if kind == trace.KindConn {
 		tr, ds, err := trace.ReadConnTrace(br, opts)
 		if err != nil {
 			return nil, err
 		}
-		return &decoded{"conn", len(tr.Conns), tr.Horizon, ds,
-			func(w io.Writer) error { return connReport(w, tr, interval, verbose) }}, nil
+		dec = &decoded{"conn", len(tr.Conns), tr.Horizon, ds,
+			func(w io.Writer) error { return connReport(w, tr, interval, verbose) }}
+	} else {
+		tr, ds, err := trace.ReadPacketTrace(br, opts)
+		if err != nil {
+			return nil, err
+		}
+		dec = &decoded{"packet", len(tr.Packets), tr.Horizon, ds,
+			func(w io.Writer) error { return packetReport(w, tr, bin) }}
 	}
-	tr, ds, err := trace.ReadPacketTrace(br, opts)
-	if err != nil {
-		return nil, err
+	if !(dec.horizon > 0) || math.IsInf(dec.horizon, 1) {
+		return nil, fmt.Errorf("%s trace horizon %v s is not a positive finite number", dec.kind, dec.horizon)
 	}
-	return &decoded{"packet", len(tr.Packets), tr.Horizon, ds,
-		func(w io.Writer) error { return packetReport(w, tr, bin) }}, nil
+	return dec, nil
 }
 
 // reportDecode surfaces lenient-mode accounting before the analysis.

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,6 +108,43 @@ func TestUnrecognizedHeader(t *testing.T) {
 	err := run([]string{p}, &out, &errw)
 	if got := cli.ExitCode(err); got != cli.ExitFailure {
 		t.Fatalf("bogus header: exit %d, want %d (err: %v)", got, cli.ExitFailure, err)
+	}
+}
+
+// TestRejectsBadHorizon: a header horizon that is not a positive
+// finite number is a hard failure naming the horizon, for both record
+// kinds in both encodings, not a panic inside the analysis.
+func TestRejectsBadHorizon(t *testing.T) {
+	for _, h := range []float64{0, -5, math.NaN(), math.Inf(1)} {
+		for _, kind := range []string{"conn", "packet"} {
+			for _, binary := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%v/binary=%v", kind, h, binary)
+				t.Run(name, func(t *testing.T) {
+					var buf bytes.Buffer
+					var err error
+					if kind == "conn" {
+						err = trace.WriteConnTrace(&buf, &trace.ConnTrace{Name: "x", Horizon: h}, binary)
+					} else {
+						err = trace.WritePacketTrace(&buf, &trace.PacketTrace{Name: "x", Horizon: h}, binary)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := filepath.Join(t.TempDir(), "t.trace")
+					if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					var out, errw bytes.Buffer
+					err = run([]string{p}, &out, &errw)
+					if got := cli.ExitCode(err); got != cli.ExitFailure {
+						t.Fatalf("exit %d, want %d (err: %v)", got, cli.ExitFailure, err)
+					}
+					if want := fmt.Sprintf("horizon %v s", h); !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name the horizon (%q)", err, want)
+					}
+				})
+			}
+		}
 	}
 }
 

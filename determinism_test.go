@@ -8,7 +8,7 @@ import (
 // TestSerialParallelDeterminism is the engine's core guarantee, run
 // end to end: executing the full experiment corpus serially and with a
 // parallel worker pool (same seeds — every driver owns its RNG) must
-// produce byte-identical artifact text for all thirty drivers. Run
+// produce byte-identical artifact text for all 32 drivers. Run
 // under -race (as CI does) this also flushes out any driver sharing a
 // rand.Rand or other mutable state across experiments.
 func TestSerialParallelDeterminism(t *testing.T) {

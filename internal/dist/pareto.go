@@ -43,8 +43,14 @@ func (p Pareto) Quantile(q float64) float64 {
 	return p.A * math.Pow(1-q, -1/p.Beta)
 }
 
-// Rand draws a Pareto variate by inverse transform.
+// Rand draws a Pareto variate by inverse transform. For β = 1 it skips
+// math.Pow: pure-Go Pow(u, -1) returns Ldexp(1/x1, -xe) for u = x1·2^xe,
+// the correctly rounded 1/u, so both paths draw the same bits
+// (TestParetoRandBeta1MatchesPow pins it).
 func (p Pareto) Rand(rng *rand.Rand) float64 {
+	if p.Beta == 1 {
+		return p.A * (1 / u01(rng))
+	}
 	return p.A * math.Pow(u01(rng), -1/p.Beta)
 }
 

@@ -123,3 +123,24 @@ func TestParetoSamplesMatchCDF(t *testing.T) {
 		}
 	}
 }
+
+// TestParetoRandBeta1MatchesPow pins Rand's β = 1 shortcut to the
+// inverse transform it replaces: two generators from one seed, one
+// through Rand and one through a·Pow(u, -1/β), must agree in every bit
+// of every draw. β = 1.2 is a control that still goes through Pow. The
+// test fails on a platform whose math.Pow is not Go's pure-Go pow.
+func TestParetoRandBeta1MatchesPow(t *testing.T) {
+	const draws = 1_000_000
+	for _, p := range []Pareto{NewPareto(1, 1), NewPareto(0.37, 1), NewPareto(1, 1.2)} {
+		got := rand.New(rand.NewSource(15))
+		want := rand.New(rand.NewSource(15))
+		for i := 0; i < draws; i++ {
+			u := u01(want)
+			x, ref := p.Rand(got), p.A*math.Pow(u, -1/p.Beta)
+			if math.Float64bits(x) != math.Float64bits(ref) {
+				t.Fatalf("Pareto(%g, %g) draw %d: Rand %x, a*Pow(%x, %g) %x",
+					p.A, p.Beta, i, math.Float64bits(x), math.Float64bits(u), -1/p.Beta, math.Float64bits(ref))
+			}
+		}
+	}
+}

@@ -117,17 +117,17 @@ func WhittleFARIMA(x []float64) WhittleResult {
 	}
 	d := goldenSection(obj, 0.001, 0.499, 1e-5)
 	res := WhittleResult{H: d + 0.5}
+	f := make([]float64, len(lambda))
 	scale := 0.0
 	for j := range lambda {
-		scale += I[j] / FARIMASpectrum(lambda[j], d)
+		f[j] = FARIMASpectrum(lambda[j], d)
+		scale += I[j] / f[j]
 	}
 	res.Scale = scale / float64(len(lambda))
 	res.StdErr = farimaStdErr(d, len(x))
 	res.CILow = res.H - 1.96*res.StdErr
 	res.CIHigh = res.H + 1.96*res.StdErr
-	res.BeranZ = beranStatisticWith(lambda, I, func(l float64) float64 {
-		return FARIMASpectrum(l, d)
-	})
+	res.BeranZ = beranStatistic(I, f)
 	res.BeranP = beranPValue(res.BeranZ)
 	res.GoodnessOK = res.BeranP >= 0.05
 	return res

@@ -292,6 +292,14 @@ func TestParetoRenewalCountsConservation(t *testing.T) {
 	}
 }
 
+// BenchmarkParetoRenewalCounts draws one of Fig. 15's runs: β = 1,
+// a = 1, 800 bins of width 10⁶, from one seed.
+func BenchmarkParetoRenewalCounts(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ParetoRenewalCounts(rand.New(rand.NewSource(14)), 800, 1, 1, 1e6)
+	}
+}
+
 func TestAnalyzeBurstLull(t *testing.T) {
 	counts := []float64{1, 2, 0, 0, 0, 3, 0, 1, 1, 1}
 	bl := AnalyzeBurstLull(counts)

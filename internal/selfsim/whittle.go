@@ -28,22 +28,29 @@ type WhittleResult struct {
 // self-similarity of the LBL PKT and DEC WRL traces in Section VII.
 func Whittle(x []float64) WhittleResult {
 	lambda, I := Periodogram(x)
+	// The grid and both slices live for this one fit; each objective
+	// evaluation refills the slices in parallel and sums them serially
+	// in index order, so every bit matches a serial evaluation.
+	g := newFGNGrid(lambda)
+	f := make([]float64, len(lambda))
+	logf := make([]float64, len(lambda))
 	obj := func(h float64) float64 {
+		g.fill(f, logf, h)
 		sumRatio := 0.0
 		sumLog := 0.0
 		for j := range lambda {
-			f := FGNSpectrum(lambda[j], h)
-			sumRatio += I[j] / f
-			sumLog += math.Log(f)
+			sumRatio += I[j] / f[j]
+			sumLog += logf[j]
 		}
 		m := float64(len(lambda))
 		return math.Log(sumRatio/m) + sumLog/m
 	}
 	h := goldenSection(obj, 0.501, 0.999, 1e-5)
+	g.fill(f, logf, h)
 	// Profiled scale: mean(I/f*).
 	scale := 0.0
 	for j := range lambda {
-		scale += I[j] / FGNSpectrum(lambda[j], h)
+		scale += I[j] / f[j]
 	}
 	scale /= float64(len(lambda))
 
@@ -51,9 +58,7 @@ func Whittle(x []float64) WhittleResult {
 	res.StdErr = whittleStdErr(h, len(x))
 	res.CILow = h - 1.96*res.StdErr
 	res.CIHigh = h + 1.96*res.StdErr
-	res.BeranZ = beranStatisticWith(lambda, I, func(l float64) float64 {
-		return FGNSpectrum(l, h)
-	})
+	res.BeranZ = beranStatistic(I, f)
 	res.BeranP = beranPValue(res.BeranZ)
 	res.GoodnessOK = res.BeranP >= 0.05
 	return res
@@ -92,20 +97,21 @@ func whittleStdErr(h float64, n int) float64 {
 	return math.Sqrt(2 / (float64(n) * w))
 }
 
-// beranStatisticWith computes a normalized version of Beran's (1992)
-// goodness-of-fit statistic. Under the null that the series has
-// spectral density proportional to f*(·; H), the normalized
-// periodogram ratios R_j = I_j / f*_j are asymptotically independent
-// with a common exponential-type law, so
+// beranStatistic computes a normalized version of Beran's (1992)
+// goodness-of-fit statistic from the periodogram ordinates I and the
+// fitted spectrum shape f at the same frequencies. Under the null that
+// the series has spectral density proportional to f*(·; H), the
+// normalized periodogram ratios R_j = I_j / f*_j are asymptotically
+// independent with a common exponential-type law, so
 //
 //	T = m · Σ R_j² / (Σ R_j)²  →  2,  and  z = √m (T - 2)/2 → N(0,1).
 //
 // Large |z| indicates lack of fit.
-func beranStatisticWith(lambda, I []float64, spectrum func(float64) float64) float64 {
-	m := float64(len(lambda))
+func beranStatistic(I, f []float64) float64 {
+	m := float64(len(I))
 	var sum, sum2 float64
-	for j := range lambda {
-		r := I[j] / spectrum(lambda[j])
+	for j := range I {
+		r := I[j] / f[j]
 		sum += r
 		sum2 += r * r
 	}
