@@ -158,10 +158,16 @@ type decoded struct {
 	analyze func(w io.Writer) error
 }
 
+// maxSlots bounds the intervals (connection traces) or bins (packet
+// traces) an analysis splits the horizon into, each one slot of a
+// slice: a 2 h packet trace at the default 0.01 s bins needs 720 000.
+const maxSlots = 1 << 26
+
 // decode ingests a trace of either kind under the given options; the
 // header names the kind. Every analysis splits the header's horizon
 // into intervals or bins, so a horizon that is not a positive finite
-// number is refused here, for both kinds and both encodings.
+// number, or that would split into more than maxSlots of them, is
+// refused here, for both kinds and both encodings.
 func decode(r io.Reader, opts trace.DecodeOptions, interval, bin float64, verbose bool) (*decoded, error) {
 	br := bufio.NewReader(r)
 	kind, _, err := trace.SniffHeader(br)
@@ -186,6 +192,14 @@ func decode(r io.Reader, opts trace.DecodeOptions, interval, bin float64, verbos
 	}
 	if !(dec.horizon > 0) || math.IsInf(dec.horizon, 1) {
 		return nil, fmt.Errorf("%s trace horizon %v s is not a positive finite number", dec.kind, dec.horizon)
+	}
+	unit, width := "interval", interval
+	if dec.kind == "packet" {
+		unit, width = "bin", bin
+	}
+	if dec.horizon/width > maxSlots {
+		return nil, fmt.Errorf("%s trace horizon %v s at a %v s %s needs more than the %d %ss the analysis allows",
+			dec.kind, dec.horizon, width, unit, maxSlots, unit)
 	}
 	return dec, nil
 }

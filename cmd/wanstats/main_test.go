@@ -148,6 +148,38 @@ func TestRejectsBadHorizon(t *testing.T) {
 	}
 }
 
+// TestRejectsHugeHorizon: a finite horizon that would split into more
+// intervals or bins than the analysis allows is a hard failure naming
+// the horizon, the divisor and the limit, not a slice allocation sized
+// by the header. Every case asks for more than the largest allocation
+// the runtime can make, so none of them allocates when refused.
+func TestRejectsHugeHorizon(t *testing.T) {
+	cases := []struct {
+		name, header string
+		args         []string
+		want         string
+	}{
+		{"conn 1e300", "#conntrace x 1e300", nil, "horizon 1e+300 s at a 3600 s interval"},
+		{"packet 1e300", "#pkttrace x 1e300", nil, "horizon 1e+300 s at a 0.01 s bin"},
+		{"conn tiny interval", "#conntrace x 7200", []string{"-interval", "1e-12"}, "horizon 7200 s at a 1e-12 s interval"},
+		{"packet tiny bin", "#pkttrace x 7200", []string{"-bin", "1e-12"}, "horizon 7200 s at a 1e-12 s bin"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errw bytes.Buffer
+			err := run(append(tc.args, writeTrace(t, tc.header)), &out, &errw)
+			if got := cli.ExitCode(err); got != cli.ExitFailure {
+				t.Fatalf("exit %d, want %d (err: %v)", got, cli.ExitFailure, err)
+			}
+			for _, want := range []string{tc.want, fmt.Sprint(maxSlots)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+		})
+	}
+}
+
 // TestJSONReportCarriesDecodeStats pins satellite: the machine-readable
 // report embeds the full decode accounting that the plain-text path
 // only showed in the preamble.

@@ -15,13 +15,12 @@ func benchScenario(kind string, pattern string, proto string) *Scenario {
 	}
 }
 
-// benchRun measures full-speed generation throughput: build one
-// daemon, emit b.N records into a discard writer by cancelling via a
-// record-counting context check is not possible, so bound the horizon
-// by the expected trace time instead.
+// benchRun measures full-speed generation throughput: one daemon run
+// into io.Discard, with the horizon set so that the scenario's rate
+// emits at least b.N records. It reports the records emitted per
+// second of the run.
 func benchRun(b *testing.B, sc *Scenario, binary bool) {
 	b.Helper()
-	// Horizon sized so the run emits at least b.N records.
 	sc.Horizon = float64(b.N)/sc.Sources[0].Rate + 100
 	d, err := New(sc, Options{Seed: 1, Binary: binary})
 	if err != nil {

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -137,7 +138,7 @@ type Daemon struct {
 	// Metrics handles, nil without a registry.
 	mRecords  *obs.Counter
 	mReshapes *obs.Counter
-	mProto    map[trace.Protocol]*obs.Counter
+	mProto    [256]*obs.Counter // indexed by trace.Protocol, a uint8
 	gTarget   *obs.Gauge
 	gWall     *obs.Gauge
 	gTraceSec *obs.Gauge
@@ -145,7 +146,7 @@ type Daemon struct {
 
 	records  int64
 	reshapes int64
-	perProto map[trace.Protocol]int64
+	perProto [256]int64 // indexed by trace.Protocol
 
 	scale  float64        // effective initial rate multiplier
 	emitWM *obs.Watermark // load_emit stamp, resolved once in New
@@ -180,7 +181,7 @@ func New(sc *Scenario, opts Options) (*Daemon, error) {
 	if userScale <= 0 {
 		userScale = 1
 	}
-	d := &Daemon{sc: sc, opts: opts, horizon: horizon, scale: scale, perProto: map[trace.Protocol]int64{}}
+	d := &Daemon{sc: sc, opts: opts, horizon: horizon, scale: scale}
 	d.emitWM = opts.Marks.Stage(obs.StageLoadEmit)
 	opts.Marks.SetPipeline(opts.PipelineID)
 
@@ -313,6 +314,11 @@ func (d *Daemon) replaceMin(ev event, alive bool) {
 // Run generates the scenario into w, honoring pacing and reshapes,
 // until the horizon is reached or ctx is canceled (which returns
 // ctx.Err() after flushing what was written).
+//
+// At full speed nothing waits on a record, so w receives whole
+// trace.HandoffSize chunks. A paced run keeps the encoder's 4 KiB
+// buffer and flushes it before every wait, so each record reaches w
+// when it falls due.
 func (d *Daemon) Run(ctx context.Context, w io.Writer) (Report, error) {
 	now := d.opts.Now
 	if now == nil {
@@ -321,6 +327,10 @@ func (d *Daemon) Run(ctx context.Context, w io.Writer) (Report, error) {
 	wall0 := now()
 	rep := Report{Scenario: d.sc.Name, Kind: d.sc.Kind, Users: len(d.users)}
 
+	if !(d.opts.Dilate > 0) {
+		// The encoder adopts this writer as its buffer.
+		w = bufio.NewWriterSize(w, trace.HandoffSize)
+	}
 	var connEnc *trace.ConnEncoder
 	var pktEnc *trace.PacketEncoder
 	var err error
@@ -340,7 +350,17 @@ func (d *Daemon) Run(ctx context.Context, w io.Writer) (Report, error) {
 		return pktEnc.Flush()
 	}
 
-	pace := trace.NewPacer(ctx, d.opts.Dilate, d.opts.Sleep, now)
+	sleep := d.opts.Sleep
+	if sleep == nil {
+		sleep = trace.ContextSleep(ctx)
+	}
+	// Hand over what is due before waiting. A failed flush is sticky in
+	// the encoder, so the next Write ends the run with its error.
+	pace := trace.NewPacer(ctx, d.opts.Dilate, func(wait time.Duration) {
+		if flush() == nil {
+			sleep(wait)
+		}
+	}, now)
 	nextPhase := 0
 	lastT := 0.0
 	var runErr error
@@ -422,7 +442,9 @@ loop:
 	rep.Reshapes = d.reshapes
 	rep.PerProto = map[string]int64{}
 	for proto, n := range d.perProto {
-		rep.PerProto[proto.String()] = n
+		if n > 0 {
+			rep.PerProto[trace.Protocol(proto).String()] = n
+		}
 	}
 	if log := d.opts.Logger; log != nil {
 		log.Info("load run finished", "records", rep.Records,
@@ -649,9 +671,8 @@ func (d *Daemon) initMetrics(totalUsers int) {
 	}
 	d.mRecords = reg.Counter("load.records")
 	d.mReshapes = reg.Counter("load.reshapes")
-	d.mProto = map[trace.Protocol]*obs.Counter{}
 	for _, s := range d.sources {
-		if _, ok := d.mProto[s.proto]; !ok {
+		if d.mProto[s.proto] == nil {
 			d.mProto[s.proto] = reg.Counter("load.proto." + s.proto.String())
 		}
 	}
@@ -675,11 +696,14 @@ func (d *Daemon) publishMetrics(traceT float64, wall time.Duration) {
 		d.mRecords.Add(delta)
 	}
 	for proto, n := range d.perProto {
+		if n == 0 {
+			continue
+		}
 		c := d.mProto[proto]
 		if c == nil {
 			// Protocols beyond the source set appear at run time:
 			// FTP session sources also emit FTPDATA records.
-			c = d.opts.Metrics.Counter("load.proto." + proto.String())
+			c = d.opts.Metrics.Counter("load.proto." + trace.Protocol(proto).String())
 			d.mProto[proto] = c
 		}
 		if delta := n - c.Value(); delta > 0 {

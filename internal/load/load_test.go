@@ -762,3 +762,96 @@ func TestPinnedDigestHelp(t *testing.T) {
 	t.Logf("baseScenario seed-42 digest: %s", digest(out))
 	_ = fmt.Sprintf // keep fmt imported alongside future debugging
 }
+
+// writeSizes records the length of every Write it receives.
+type writeSizes struct {
+	buf   bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.buf.Write(p)
+}
+
+// A full-speed run hands its writer whole trace.HandoffSize chunks, so
+// a pipe to the consumer changes hands once per 64 KiB; a paced run
+// keeps the encoder's 4 KiB buffer. Neither changes a byte.
+func TestFullSpeedWritesWholeChunks(t *testing.T) {
+	var full writeSizes
+	d, err := New(baseScenario(), Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background(), &full); err != nil {
+		t.Fatal(err)
+	}
+	if len(full.sizes) < 2 {
+		t.Fatalf("%d writes of %d bytes: want at least two chunks", len(full.sizes), full.buf.Len())
+	}
+	for i, n := range full.sizes[:len(full.sizes)-1] {
+		if n != trace.HandoffSize {
+			t.Errorf("full speed: write %d of %d carried %d bytes, want %d", i, len(full.sizes), n, trace.HandoffSize)
+			break
+		}
+	}
+	if got := digest(full.buf.Bytes()); got != pinnedDigest {
+		t.Errorf("full-speed digest %s, want %s", got, pinnedDigest)
+	}
+
+	var paced writeSizes
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	d, err = New(baseScenario(), Options{Seed: 42, Dilate: 100, Sleep: clk.Sleep, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background(), &paced); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range paced.sizes {
+		if n > 4096 {
+			t.Errorf("paced: write %d carried %d bytes, want at most 4096", i, n)
+			break
+		}
+	}
+	if !bytes.Equal(paced.buf.Bytes(), full.buf.Bytes()) {
+		t.Error("paced output differs from the full-speed output")
+	}
+}
+
+// A paced run hands over every record it has emitted, as whole lines,
+// before each wait: a low-rate source reaches a follower when its
+// records fall due, not when the encoder's buffer fills or the run
+// ends.
+func TestPacedRunFlushesBeforeSleep(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	var buf bytes.Buffer
+	var d *Daemon
+	sleeps := 0
+	sleep := func(wait time.Duration) {
+		sleeps++
+		b := buf.Bytes()
+		if len(b) == 0 || b[len(b)-1] != '\n' {
+			t.Fatalf("sleep %d: the writer holds %d bytes, not ending in a newline", sleeps, len(b))
+		}
+		// The header line, then one line per record.
+		if lines := int64(bytes.Count(b, []byte{'\n'})); lines-1 != d.records {
+			t.Fatalf("sleep %d: the writer holds %d records of the %d emitted", sleeps, lines-1, d.records)
+		}
+		clk.Sleep(wait)
+	}
+	var err error
+	d, err = New(baseScenario(), Options{Seed: 42, Dilate: 100, Sleep: sleep, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if sleeps < 100 {
+		t.Fatalf("only %d sleeps: the run was not paced", sleeps)
+	}
+	if got := digest(buf.Bytes()); got != pinnedDigest {
+		t.Errorf("paced digest %s, want %s", got, pinnedDigest)
+	}
+}

@@ -3,9 +3,11 @@ package observe
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"testing"
 
+	"wantraffic/internal/load"
 	"wantraffic/internal/stream"
 	"wantraffic/internal/trace"
 )
@@ -111,4 +113,42 @@ func BenchmarkReplayFullSpeed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGenerateReplayPipe is `wanload | wanstream -follow` at full
+// speed in one process: FULL-TEL plus Pareto-renewal packet users in
+// text framing (wanbench's bench-pkt mix, 180 trace seconds, about
+// 128 000 records) through load.Daemon.Run → io.Pipe → Replay. At
+// -cpu 1 the generator and the replayer share one CPU; at -cpu 2 the
+// rate shows how far the pipe handoff lets them overlap.
+func BenchmarkGenerateReplayPipe(b *testing.B) {
+	sc := &load.Scenario{
+		Name: "bench-pkt", Kind: load.KindPacket, Horizon: 180,
+		Sources: []load.SourceSpec{
+			{Name: "telnet", Proto: "TELNET", Pattern: load.PatternFullTel, Users: 512, Rate: 1.5},
+			{Name: "www", Proto: "WWW", Pattern: load.PatternPareto, Users: 512, Rate: 430},
+		},
+	}
+	var records int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := load.New(sc, load.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := New(Options{})
+		b.StartTimer()
+		pr, pw := io.Pipe()
+		go func() {
+			_, err := d.Run(context.Background(), pw)
+			pw.CloseWithError(err)
+		}()
+		st, err := Replay(pr, o, ReplayOptions{Flush: true})
+		pr.CloseWithError(err)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records += st.Records
+	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }

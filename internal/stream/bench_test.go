@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"wantraffic/internal/load"
 	"wantraffic/internal/obs"
 	"wantraffic/internal/stats"
 	"wantraffic/internal/trace"
@@ -235,4 +236,48 @@ func BenchmarkAccumulatorObserveMany(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGenerateIngestPipe is `wanload -binary | wanstream` at full
+// speed in one process: wanbench's bench-conn mix (1 024 users in four
+// sources, 100 trace seconds, about 140 000 records) through
+// load.Daemon.Run → io.Pipe → the default 4-shard Session's IngestReader. At
+// -cpu 1 the generator and the ingest share one CPU; at -cpu 2 the
+// rate shows how far the pipe handoff lets them overlap.
+func BenchmarkGenerateIngestPipe(b *testing.B) {
+	sc := &load.Scenario{
+		Name: "bench-conn", Kind: load.KindConn, Horizon: 100,
+		Sources: []load.SourceSpec{
+			{Name: "telnet", Proto: "TELNET", Pattern: load.PatternDiurnal, Profile: "telnet", Users: 256, Rate: 400},
+			{Name: "ftp", Proto: "FTP", Pattern: load.PatternFTPBurst, Users: 256, Rate: 40},
+			{Name: "smtp", Proto: "SMTP", Pattern: load.PatternPoisson, Users: 256, Rate: 600},
+			{Name: "www", Proto: "WWW", Pattern: load.PatternPareto, Users: 256, Rate: 600},
+		},
+	}
+	ctx := context.Background()
+	var records int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := load.New(sc, load.Options{Seed: 1, Binary: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess, err := NewSession(ConnSketch, PipelineOptions{Shards: DefaultShards})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		pr, pw := io.Pipe()
+		go func() {
+			_, err := d.Run(ctx, pw)
+			pw.CloseWithError(err)
+		}()
+		_, _, err = sess.IngestReader(ctx, pr, trace.DecodeOptions{})
+		pr.CloseWithError(err)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records += sess.Records()
+	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }

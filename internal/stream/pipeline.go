@@ -108,7 +108,9 @@ type Session struct {
 	kind   string
 	shards []*Sketch
 	chunks int64
-	br     *bufio.Reader // reused by IngestReader across calls
+	// br is reused by IngestReader across calls. It holds
+	// trace.HandoffSize bytes, so NewSource adopts it as its buffer.
+	br *bufio.Reader
 }
 
 // NewSession builds a session for the given trace kind (ConnSketch or
@@ -143,7 +145,7 @@ func (s *Session) Records() int64 {
 // degrade coverage, never correctness).
 func (s *Session) IngestReader(ctx context.Context, r io.Reader, dopts trace.DecodeOptions) (trace.Header, trace.DecodeStats, error) {
 	if s.br == nil {
-		s.br = bufio.NewReader(r)
+		s.br = bufio.NewReaderSize(r, trace.HandoffSize)
 	} else {
 		s.br.Reset(r)
 	}

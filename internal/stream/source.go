@@ -31,7 +31,10 @@ type Source struct {
 // returns, so Header is valid before the first record; a header that
 // does not parse is an error here.
 func NewSource(r io.Reader, dopts trace.DecodeOptions) (*Source, error) {
-	br := bufio.NewReader(r) // r itself when it is already a bufio.Reader
+	// One trace.HandoffSize read per refill: a pipe then hands over a
+	// full-speed producer's whole chunk at once. A large enough
+	// bufio.Reader (IngestReader's) is adopted, not wrapped.
+	br := bufio.NewReaderSize(r, trace.HandoffSize)
 	kind, _, err := trace.SniffHeader(br)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package stream
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -212,6 +213,95 @@ func TestSourceHeaderAtOpen(t *testing.T) {
 	for _, bad := range []string{"not a trace\n", "#conntrace missing-horizon\n1 2 TELNET 3 4 5\n"} {
 		if _, err := NewSource(strings.NewReader(bad), trace.DecodeOptions{}); err == nil {
 			t.Errorf("header %q accepted", bad)
+		}
+	}
+}
+
+// readSizes records the length of every Read its reader is asked for.
+type readSizes struct {
+	r     io.Reader
+	sizes []int
+}
+
+func (r *readSizes) Read(p []byte) (int, error) {
+	r.sizes = append(r.sizes, len(p))
+	return r.r.Read(p)
+}
+
+// A Source asks its reader for trace.HandoffSize bytes at a time, so a
+// pipe from a full-speed producer hands over a whole chunk per Read.
+// IngestReader's reused reader has that size, so NewSource reads
+// through it rather than through a second buffer.
+func TestSourceReadsWholeChunks(t *testing.T) {
+	var text bytes.Buffer
+	if _, err := io.Copy(&text, newConnGen(20000, 3)); err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := trace.ReadConnTrace(bytes.NewReader(text.Bytes()), trace.DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := trace.WriteConnTrace(&bin, tr, true); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(ConnSketch, PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := []struct {
+		name string
+		read func(t *testing.T, r io.Reader) (int64, error)
+	}{
+		{"NewSource", func(_ *testing.T, r io.Reader) (int64, error) {
+			src, err := NewSource(r, trace.DecodeOptions{})
+			if err != nil {
+				return 0, err
+			}
+			var out [256]Obs
+			var total int64
+			for {
+				n, err := src.Next(out[:])
+				total += int64(n)
+				if err == io.EOF {
+					return total, nil
+				} else if err != nil {
+					return total, err
+				}
+			}
+		}},
+		{"IngestReader", func(t *testing.T, r io.Reader) (int64, error) {
+			before := sess.Records()
+			_, _, err := sess.IngestReader(context.Background(), r, trace.DecodeOptions{})
+			if got := sess.br.Size(); got != trace.HandoffSize {
+				t.Errorf("IngestReader's reader holds %d bytes, want %d", got, trace.HandoffSize)
+			}
+			return sess.Records() - before, err
+		}},
+	}
+	for _, rd := range readers {
+		for _, enc := range []struct {
+			name string
+			data []byte
+		}{{"text", text.Bytes()}, {"binary", bin.Bytes()}} {
+			t.Run(rd.name+"/"+enc.name, func(t *testing.T) {
+				rec := &readSizes{r: bytes.NewReader(enc.data)}
+				n, err := rd.read(t, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != int64(len(tr.Conns)) {
+					t.Fatalf("read %d records, want %d", n, len(tr.Conns))
+				}
+				if len(rec.sizes) < len(enc.data)/trace.HandoffSize {
+					t.Fatalf("%d reads for %d bytes", len(rec.sizes), len(enc.data))
+				}
+				for i, size := range rec.sizes {
+					if size != trace.HandoffSize {
+						t.Fatalf("read %d of %d asked for %d bytes, want %d", i, len(rec.sizes), size, trace.HandoffSize)
+					}
+				}
+			})
 		}
 	}
 }

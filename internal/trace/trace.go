@@ -27,7 +27,9 @@ const (
 	WWW
 )
 
-var protoNames = map[Protocol]string{
+// protoNames is indexed by Protocol: the text encoders look a name up
+// once per record.
+var protoNames = [...]string{
 	Other:   "OTHER",
 	Telnet:  "TELNET",
 	Rlogin:  "RLOGIN",
@@ -41,8 +43,8 @@ var protoNames = map[Protocol]string{
 
 // String returns the protocol's conventional upper-case name.
 func (p Protocol) String() string {
-	if s, ok := protoNames[p]; ok {
-		return s
+	if int(p) < len(protoNames) {
+		return protoNames[p]
 	}
 	return "OTHER"
 }
